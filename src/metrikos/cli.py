@@ -113,22 +113,29 @@ def _print_report(report: AxiomReport) -> None:
     print(f"RESULT {'PASS' if report.all_ok else 'FAIL'}")
 
 
+def _map_field(data: dict, key: str, shape: tuple, usage: str) -> np.ndarray:
+    """The numbers under ``key`` as an array of ``shape``, or ValueError."""
+    try:
+        arr = np.array(data[key], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != shape:
+        raise ValueError(f"{data['map']} needs {usage}")
+    return arr
+
+
 def _map_from_json(text: str):
     data = json.loads(text)
-    if not isinstance(data, dict) or "map" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("map"), str):
         raise ValueError('map JSON must be an object with a "map" tag')
     tag = data["map"]
     if tag == "orthogonal":
-        return SphereMap(np.array(data["matrix"], dtype=float))
+        return SphereMap(_map_field(data, "matrix", (3, 3), '"matrix": a 3x3 array'))
     if tag in ("translation", "reflect_about_point"):
-        a = data.get("a")
-        if a is None or len(a) != 2:
-            raise ValueError(f'{tag} needs "a": [a1, a2]')
+        a = _map_field(data, "a", (2,), '"a": [a1, a2]')
         return named_map(tag, float(a[0]), float(a[1]))
     if tag == "rotation":
-        if "theta" not in data:
-            raise ValueError('rotation needs "theta"')
-        return named_map(tag, float(data["theta"]))
+        return named_map(tag, float(_map_field(data, "theta", (), '"theta": a number')))
     return named_map(tag)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import sphere
 from .errors import CarrierError
 from .graphs import Polyline, WeightedGraph, shortest_path_distance
-from .points import as_point, as_points, as_real, point_key, same_dim
+from .points import as_index, as_point, as_points, as_real, point_key, same_dim
 
 # Certification keeps at most this many witnesses per axiom, in lexicographic
 # index order, to bound report size on badly broken inputs.
@@ -191,8 +191,7 @@ class GreatCircle(MetricSpec):
         return rows / norms.reshape(-1, 1)
 
     def _eval(self, x, y):
-        half = 0.5 * math.hypot(*(x - y).tolist())
-        return 2.0 * math.asin(min(half, 1.0))
+        return sphere.arc_length(x, y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,10 +202,7 @@ class GraphPath(MetricSpec):
     name = "graphpath"
 
     def validate_point(self, x):
-        try:
-            return self.graph.check_vertex(x)
-        except (ValueError, TypeError) as exc:
-            raise CarrierError(str(exc)) from None
+        return self.graph.check_vertex(x)
 
     def _eval(self, x, y):
         return shortest_path_distance(self.graph, x, y)
@@ -220,10 +216,7 @@ class PolylineArc(MetricSpec):
     name = "polylinearc"
 
     def validate_point(self, x):
-        try:
-            return self.polyline.check_index(x)
-        except (ValueError, TypeError) as exc:
-            raise CarrierError(str(exc)) from None
+        return self.polyline.check_index(x)
 
     def _eval(self, x, y):
         return self.polyline.arc_distance(x, y)
@@ -263,13 +256,7 @@ class MatrixMetric(MetricSpec):
     name = "matrix"
 
     def validate_point(self, x):
-        try:
-            i = int(x)
-        except (ValueError, TypeError) as exc:
-            raise CarrierError(str(exc)) from None
-        if (isinstance(x, float) and x != i) or not 0 <= i < self.matrix.n:
-            raise CarrierError(f"index {x} outside 0..{self.matrix.n - 1}")
-        return i
+        return as_index(x, self.matrix.n)
 
     def _eval(self, x, y):
         return float(self.matrix.values[x, y])
@@ -365,58 +352,72 @@ def verify_axioms(spec: MetricSpec, sample: Sequence, tol: ToleranceConfig = DEF
 
     The triple check is exhaustive (n^3), not sampled; witnesses are
     deterministic, in lexicographic index order, capped per axiom at
-    MAX_WITNESSES_PER_AXIOM.
+    MAX_WITNESSES_PER_AXIOM. Cost: n^2 distance evaluations, O(n^3) time
+    and O(n^2) memory, since the triple check runs one n x n slab per x.
     """
     pts = _canonical_sample(spec, sample)
     D = _pairwise(spec, pts)
-    n = D.shape[0]
-    keys = [point_key(p) for p in pts]
-    same = np.array([[keys[i] == keys[j] for j in range(n)] for i in range(n)])
+    A = np.abs(D)
     witnesses: list[Witness] = []
 
-    def collect(axiom, index_pairs, lhs, rhs):
-        for count, idx in enumerate(index_pairs):
-            if count >= MAX_WITNESSES_PER_AXIOM:
-                break
+    def collect(axiom, mask, rhs=None):
+        for idx in np.argwhere(mask)[:MAX_WITNESSES_PER_AXIOM]:
             ij = tuple(int(k) for k in idx)
-            witnesses.append(Witness(axiom, ij, float(lhs[ij]), float(rhs[ij])))
+            witnesses.append(Witness(axiom, ij, float(D[ij]), 0.0 if rhs is None else float(rhs[ij])))
 
     neg = D < 0
     nonnegativity_ok = not neg.any()
     if not nonnegativity_ok:
-        collect("nonnegativity", np.argwhere(neg), D, np.zeros_like(D))
+        collect("nonnegativity", neg)
 
-    slack_pair = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(D), np.abs(D.T))
-    asym = np.abs(D - D.T) > slack_pair
-    np.fill_diagonal(asym, False)
-    asym &= np.triu(np.ones((n, n), dtype=bool), k=1)
+    asym = np.triu(np.abs(D - D.T) > tol.abs_tol + tol.rel_tol * np.maximum(A, A.T), k=1)
     symmetry_ok = not asym.any()
     if not symmetry_ok:
-        collect("symmetry", np.argwhere(asym), D, D.T)
+        collect("symmetry", asym, D.T)
 
-    ident = np.where(same, D > tol.abs_tol, D <= tol.abs_tol)
+    # one class id per distinct point, so sameness is one n x n compare
+    ids: dict = {}
+    cls = np.array([ids.setdefault(point_key(p), len(ids)) for p in pts])
+    ident = np.where(cls[:, None] == cls[None, :], D > tol.abs_tol, D <= tol.abs_tol)
     identity_ok = not ident.any()
     if not identity_ok:
-        collect("identity", np.argwhere(ident), D, np.zeros_like(D))
+        collect("identity", ident)
 
-    lhs = D[:, None, :]  # d(x, z)
-    rhs = D[:, :, None] + D[None, :, :]  # d(x, y) + d(y, z)
-    slack = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(lhs), np.maximum(np.abs(D)[:, :, None], np.abs(D)[None, :, :]))
-    tri = lhs > rhs + slack
-    triangle_ok = not tri.any()
-    if not triangle_ok:
-        bad = np.argwhere(tri)  # rows (x, y, z)
-        for count, (x, y, z) in enumerate(bad):
-            if count >= MAX_WITNESSES_PER_AXIOM:
-                break
-            witnesses.append(
-                Witness("triangle", (int(x), int(y), int(z)), float(D[x, z]), float(D[x, y] + D[y, z]))
-            )
+    triangle = _triangle_witnesses(D, A, tol)
+    witnesses.extend(triangle)
 
     return AxiomReport(
         symmetry_ok=symmetry_ok,
         nonnegativity_ok=nonnegativity_ok,
         identity_ok=identity_ok,
-        triangle_ok=triangle_ok,
+        triangle_ok=not triangle,
         witnesses=witnesses,
     )
+
+
+def _triangle_witnesses(D: np.ndarray, A: np.ndarray, tol: ToleranceConfig) -> list[Witness]:
+    """The first MAX_WITNESSES_PER_AXIOM triples (x, y, z), in lexicographic
+    order, with d(x,z) > d(x,y) + d(y,z) + slack.
+
+    One n x n slab per x: rhs[y, z] = d(x,y) + d(y,z). The slack is built only
+    where d(x,z) > rhs already, which loses nothing: the slack is >= 0 (or
+    NaN, which fails both comparisons) and rounding is monotone, so
+    rhs + slack >= rhs.
+    """
+    n = D.shape[0]
+    rhs = np.empty((n, n))
+    cand = np.empty((n, n), dtype=bool)
+    found: list[Witness] = []
+    for x in range(n):
+        np.add(D[x, :, None], D, out=rhs)
+        np.greater(D[x], rhs, out=cand)
+        if not cand.any():
+            continue
+        ys, zs = np.nonzero(cand)
+        lhs, r = D[x, zs], rhs[ys, zs]
+        slack = tol.abs_tol + tol.rel_tol * np.maximum(A[x, zs], np.maximum(A[x, ys], A[ys, zs]))
+        for k in np.flatnonzero(lhs > r + slack)[: MAX_WITNESSES_PER_AXIOM - len(found)]:
+            found.append(Witness("triangle", (x, int(ys[k]), int(zs[k])), float(lhs[k]), float(r[k])))
+        if len(found) >= MAX_WITNESSES_PER_AXIOM:
+            break
+    return found

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import UnreachableError
 from .plane import euclidean_distance
-from .points import as_point
+from .points import as_index, as_point
 
 
 class WeightedGraph:
@@ -65,12 +65,7 @@ class WeightedGraph:
         self._sssp_cache: dict[int, np.ndarray] = {}
 
     def check_vertex(self, u) -> int:
-        v = int(u)
-        if isinstance(u, float) and u != v:
-            raise ValueError(f"vertex id must be an integer, got {u}")
-        if not 0 <= v < self.vertex_count:
-            raise ValueError(f"vertex id {u} outside 0..{self.vertex_count - 1}")
-        return v
+        return as_index(u, self.vertex_count, "vertex id")
 
     def single_source(self, source: int) -> np.ndarray:
         """Distances from ``source`` to every vertex (inf where unreachable).
@@ -222,10 +217,7 @@ class Polyline:
         return self.cumulative[-1]
 
     def check_index(self, i) -> int:
-        idx = int(i)
-        if not 0 <= idx < len(self.vertices):
-            raise ValueError(f"vertex index {i} outside 0..{len(self.vertices) - 1}")
-        return idx
+        return as_index(i, len(self.vertices), "vertex index")
 
     def arc_distance(self, i, j) -> float:
         """Length along the chain between vertices i and j."""

@@ -1,14 +1,18 @@
-"""Coordinate-point validation helpers.
+"""Carrier validation helpers.
 
-Points are plain 1-D float64 numpy arrays; these helpers coerce user input
-(tuples, lists, arrays) into that form and enforce finiteness.
+Coordinate points are plain 1-D float64 numpy arrays; these helpers coerce
+user input (tuples, lists, arrays) into that form and enforce finiteness.
+Index carriers (graph vertices, polyline vertices, matrix rows) take
+integers in 0..n-1, checked by ``as_index``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from .errors import CarrierError
 
 
 def as_point(p, dim: int | None = None) -> np.ndarray:
@@ -54,6 +58,26 @@ def as_points(points: Sequence, dim: int | None = None):
     return [as_point(p, dim=dim) for p in points]
 
 
+def as_index(i, n: int, what: str = "index") -> int:
+    """``i`` as a Python int in 0..n-1, or CarrierError.
+
+    Accepts ints and numpy integers, and floats (numpy ones too) that are
+    exactly integral. Rejects bools, fractional and non-finite values and
+    anything else, so no index is silently truncated.
+    """
+    if type(i) is int:
+        v = i
+    elif isinstance(i, np.integer) or (isinstance(i, int) and not isinstance(i, bool)):
+        v = int(i)
+    elif isinstance(i, (float, np.floating)) and float(i).is_integer():
+        v = int(i)
+    else:
+        raise CarrierError(f"{what} must be an integer, got {i!r}")
+    if not 0 <= v < n:
+        raise CarrierError(f"{what} {i} outside 0..{n - 1}")
+    return v
+
+
 def as_real(x) -> float:
     """Coerce ``x`` (a scalar or a 1-coordinate point) to a finite float."""
     arr = np.asarray(x, dtype=float)
@@ -82,12 +106,3 @@ def point_key(p):
     if arr.ndim == 0:
         return float(arr)
     return tuple(arr.tolist())
-
-
-def points_equal(p, q) -> bool:
-    """Exact coordinate equality (the identity-axiom notion of sameness)."""
-    return point_key(p) == point_key(q)
-
-
-def unique_keys(points: Iterable) -> frozenset:
-    return frozenset(point_key(p) for p in points)

@@ -3,13 +3,14 @@
 Two distances coexist on the sphere: the chord (straight-line distance through
 the ambient space) and the great-circle arc length. They are linked by
 
-    chord = 2 * sin(arc / 2),        arc in [0, pi],
+    chord = 2 * sin(arc / 2),        arc in [0, pi].
 
-so the arc is recovered as ``2 * asin(chord / 2)``. The module also provides
-the supporting constructions: radial projection onto a plane circle, the
-nearest/farthest points of a 3-D circle from an external point, and the
-extremal point used to reduce the spherical triangle inequality to a single
-great circle.
+The arc is computed as ``atan2(|p x q|, p . q)``, which is accurate to a few
+ulps at every angle; ``2 * asin(chord / 2)`` would lose about sqrt(eps) near
+antipodes, where asin is flat. The module also provides the supporting
+constructions: radial projection onto a plane circle, the nearest/farthest
+points of a 3-D circle from an external point, and the extremal point used
+to reduce the spherical triangle inequality to a single great circle.
 """
 
 from __future__ import annotations
@@ -110,20 +111,25 @@ def chord_distances(P, Q) -> np.ndarray:
 
 
 def great_circle_distances(P, Q) -> np.ndarray:
-    """Rowwise shorter-arc lengths between two (n, 3) sphere-point arrays."""
-    half = 0.5 * chord_distances(P, Q)
-    return 2.0 * np.arcsin(np.minimum(half, 1.0))
+    """Rowwise shorter-arc lengths between two (n, 3) sphere-point arrays,
+    by the formula of ``arc_length``."""
+    Pa, Qa = sphere_points(P), sphere_points(Q)
+    return np.arctan2(np.linalg.norm(np.cross(Pa, Qa), axis=1), np.einsum("ij,ij->i", Pa, Qa))
+
+
+def arc_length(p: np.ndarray, q: np.ndarray) -> float:
+    """atan2(|p x q|, p . q) for two validated unit 3-vectors: the angle
+    between them, bitwise symmetric in (p, q), exactly 0 for p == q."""
+    (a, b, c), (d, e, f) = p.tolist(), q.tolist()
+    return math.atan2(math.hypot(b * f - c * e, c * d - a * f, a * e - b * d), a * d + b * e + c * f)
 
 
 def great_circle_distance(p, q) -> float:
     """Length of the shorter great-circle arc between two sphere points.
 
-    Computed as 2*asin(chord/2) with the asin argument clamped to [0, 1],
-    since rounding can push the half-chord a hair above 1. Antipodal points
-    give pi.
+    Antipodal points give pi.
     """
-    half = 0.5 * chord_distance(p, q)
-    return 2.0 * math.asin(min(half, 1.0))
+    return arc_length(sphere_point(p), sphere_point(q))
 
 
 def arc_to_chord(arc: float) -> float:

@@ -187,6 +187,11 @@ class TestIsometry:
     def test_bad_map_json_is_usage_error(self):
         res = run_cli("isometry", "--map", "{not json", "--metric", "euclidean", "--random", "4")
         assert res.returncode == 2
+        # a missing or misshapen field is a usage error too, not a traceback
+        for bad in ('{"map": "orthogonal"}', '{"map": "translation", "a": 5}'):
+            res = run_cli("isometry", "--map", bad, "--metric", "euclidean", "--random", "4")
+            assert res.returncode == 2, bad
+            assert res.stderr.startswith(b"error: ") and b"Traceback" not in res.stderr, bad
 
 
 class TestGrid:

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import metrikos as mk
+from metrikos import sampling
 from metrikos.core import MAX_WITNESSES_PER_AXIOM
 
 from _support import builtin_cases
@@ -13,6 +15,20 @@ def planted_non_metric() -> mk.MatrixMetric:
     # squared separation |i - j|**2 on three labels: symmetric but not a metric
     values = np.array([[abs(i - j) ** 2 for j in range(3)] for i in range(3)], dtype=float)
     return mk.MatrixMetric(mk.DistanceMatrix(values))
+
+
+def brute_force_triangle_witnesses(D, tol) -> list:
+    """Every triangle violation of D, one triple at a time, in (x, y, z) order."""
+    n = len(D)
+    found = []
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                lhs, rhs = D[x, z], D[x, y] + D[y, z]
+                slack = tol.abs_tol + tol.rel_tol * max(abs(D[x, z]), abs(D[x, y]), abs(D[y, z]))
+                if lhs > rhs + slack:
+                    found.append(mk.Witness("triangle", (x, y, z), float(lhs), float(rhs)))
+    return found
 
 
 class TestDistanceDispatch:
@@ -38,6 +54,12 @@ class TestDistanceDispatch:
             mk.distance(mk.GraphPath(g), 0, 99)
         with pytest.raises(mk.CarrierError):
             mk.distance(planted_non_metric(), 0, 5)
+        # index carriers share one validator: no bools, fractions or non-finite values
+        for spec in (planted_non_metric(), mk.GraphPath(g), mk.PolylineArc(mk.Polyline([(0, 0), (1, 0), (1, 1)]))):
+            assert mk.distance(spec, np.int64(0), 1.0) == mk.distance(spec, 0, 1)
+            for bad in (1.5, True, np.float32(1.5), math.nan, math.inf):
+                with pytest.raises(mk.CarrierError):
+                    spec.validate_point(bad)
 
     def test_unreachable_pair_is_an_error(self):
         g = mk.WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
@@ -78,6 +100,17 @@ class TestVerifyAxioms:
         for spec, sample in builtin_cases(rng, n=24):
             report = mk.verify_axioms(spec, sample)
             assert report.all_ok, (spec.name, report.witnesses[:3])
+        # the n^3 triangle check runs in O(n^2) memory: an n^3 float
+        # temporary alone would take 128 MB at n = 256
+        sample = list(sampling.random_points(rng, 256, dim=2))
+        tracemalloc.start()
+        try:
+            report = mk.verify_axioms(mk.Euclidean(), sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_ok
+        assert peak < 32 * 2**20, f"verify_axioms peaked at {peak / 2**20:.0f} MB"
 
     def test_round_trip_matrix_certifies(self, rng):
         for spec, sample in builtin_cases(rng, n=12):
@@ -143,6 +176,21 @@ class TestVerifyAxioms:
             per_axiom[w.axiom] = per_axiom.get(w.axiom, 0) + 1
         assert all(c <= MAX_WITNESSES_PER_AXIOM for c in per_axiom.values())
         assert not report.nonnegativity_ok
+        # many triangle violations: the report is the capped lexicographic
+        # prefix of a brute-force scan, lhs/rhs and all
+        rng = np.random.default_rng(7)
+        uniform = rng.uniform(0.0, 1.0, size=(n, n))
+        uniform = np.triu(uniform, 1) + np.triu(uniform, 1).T
+        i, j = np.indices((20, 20))
+        line = np.abs(i - j).astype(float)  # collinear: many exact equalities
+        line[((i + j) % 3 == 0) & (i != j)] += 2e-9  # beyond the default slack
+        line[(i + j) % 3 == 1] += 5e-10  # within it
+        for values in (uniform, line):
+            reference = brute_force_triangle_witnesses(values, mk.ToleranceConfig())
+            assert len(reference) > MAX_WITNESSES_PER_AXIOM
+            report = mk.verify_axioms(mk.MatrixMetric(mk.DistanceMatrix(values)), list(range(len(values))))
+            assert report.symmetry_ok and report.nonnegativity_ok and not report.triangle_ok
+            assert report.for_axiom("triangle") == reference[:MAX_WITNESSES_PER_AXIOM]
 
 
 class TestRestrict:

@@ -22,6 +22,13 @@ class TestWeightedGraph:
             mk.WeightedGraph(2, [(0, 1, 1.0), (1, 0, 2.0)])
         with pytest.raises(ValueError, match="outside"):
             mk.WeightedGraph(2, [(0, 5, 1.0)])
+        # vertex ids: integral values only, nothing truncated
+        g = mk.WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        for ok in (1, np.int64(1), 1.0, np.float32(1.0)):
+            assert g.check_vertex(ok) == 1 and type(g.check_vertex(ok)) is int
+        for bad in (1.7, True, np.bool_(True), np.float32(1.5), math.nan, math.inf, "1", -1, 3):
+            with pytest.raises(mk.CarrierError):
+                g.check_vertex(bad)
 
     def test_path_graph(self):
         g = mk.WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
@@ -124,6 +131,13 @@ class TestPolyline:
             mk.Polyline([(0, 0)])
         with pytest.raises(ValueError, match="distinct"):
             mk.Polyline([(0, 0), (0, 0), (1, 1)])
+        # vertex indices: integral values only, nothing truncated
+        arc = mk.PolylineArc(mk.Polyline([(0, 0), (1, 0), (1, 1)]))
+        for ok in (1, np.int64(1), 1.0, np.float32(1.0)):
+            assert arc.validate_point(ok) == 1 and type(arc.validate_point(ok)) is int
+        for bad in (1.7, True, np.float32(1.5), math.nan, -math.inf, "1", -1, 3):
+            with pytest.raises(mk.CarrierError):
+                arc.validate_point(bad)
 
     def test_identity(self):
         c = mk.Polyline([(0, 0), (1, 0), (2, 0)])

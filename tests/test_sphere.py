@@ -96,6 +96,12 @@ class TestChordAndArc:
     def test_great_circle_axioms(self, rng):
         sample = list(sampling.random_sphere_points(rng, 64))
         assert mk.verify_axioms(mk.GreatCircle(), sample).all_ok
+        # near-antipodal points on one great circle: 2*asin(chord/2) loses
+        # about sqrt(eps) here and reported two false triangle witnesses
+        t = math.pi - 1e-8
+        near_antipodal = [(1, 0, 0), (math.cos(t), math.sin(t), 0), (0, 1, 0)]
+        report = mk.verify_axioms(mk.GreatCircle(), near_antipodal)
+        assert report.all_ok, report.witnesses
 
 
 class TestSinc:
