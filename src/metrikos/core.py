@@ -5,6 +5,10 @@ A ``MetricSpec`` names which distance to evaluate and owns its carrier check;
 nonnegativity, identity of indiscernibles, and the triangle inequality on a
 finite sample, exhaustively over all ordered triples, and reports explicit
 witnesses for every violated axiom.
+
+Every spec evaluates one pair with ``_eval`` and a whole table with
+``_cross``; the built-in specs give ``_cross`` a batch kernel that equals the
+per-pair loop bit for bit and keeps its temporaries to one row block.
 """
 
 from __future__ import annotations
@@ -17,12 +21,38 @@ import numpy as np
 
 from . import sphere
 from .errors import CarrierError
-from .graphs import Polyline, WeightedGraph, shortest_path_distance
+from .graphs import Polyline, WeightedGraph, no_path_error
+from .plane import hypot_rows
 from .points import as_index, as_point, as_points, as_real, point_key, same_dim
 
 # Certification keeps at most this many witnesses per axiom, in lexicographic
 # index order, to bound report size on badly broken inputs.
 MAX_WITNESSES_PER_AXIOM = 100
+
+# Batch kernels fill distance tables in row blocks of about this many pairs,
+# so their temporaries stay bounded whatever the sample size.
+BLOCK_PAIRS = 4096
+
+
+def row_blocks(n: int, m: int) -> list[tuple[int, int]]:
+    """(lo, hi) row ranges of an n x m table, about BLOCK_PAIRS pairs each."""
+    step = max(1, BLOCK_PAIRS // max(1, m))
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _by_row_blocks(X, Y, block) -> np.ndarray:
+    """The len(X) x len(Y) table whose rows lo..hi are block(X[lo:hi], Y)."""
+    out = np.empty((len(X), len(Y)))
+    for lo, hi in row_blocks(len(X), len(Y)):
+        out[lo:hi] = block(X[lo:hi], Y)
+    return out
+
+
+def _abs_difference(a, b) -> np.ndarray:
+    """|a[i] - b[j]| for two 1-D float arrays, with no temporary beyond the
+    table. The sign of a difference is exact, so |a - b| == |b - a|."""
+    out = np.subtract.outer(a, b)
+    return np.abs(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -103,66 +133,94 @@ class MetricSpec:
         """Distance between two already-validated carrier points."""
         raise NotImplementedError
 
+    def _cross(self, X, Y) -> np.ndarray:
+        """The len(X) x len(Y) table of ``_eval(X[i], Y[j])`` over two
+        ``validate_many`` results.
 
-@dataclass(frozen=True)
-class Euclidean(MetricSpec):
-    name = "euclidean"
+        This default is the per-pair loop. Each built-in spec overrides it
+        with a batch kernel that gives the same floats bit for bit.
+        """
+        out = np.empty((len(X), len(Y)))
+        for i, x in enumerate(X):
+            for j, y in enumerate(Y):
+                out[i, j] = self._eval(x, y)
+        return out
+
+
+class _Coordinates(MetricSpec):
+    """Points of R^d, validated to the rows of one float64 array.
+
+    ``_block`` computes a row block of the table from two (., d) arrays.
+    Ragged points (a list from ``validate_many``) take the per-pair loop,
+    which raises the dimension mismatch.
+    """
 
     def validate_point(self, x):
         return as_point(x)
 
     def validate_many(self, points):
         return as_points(points)
+
+    def _cross(self, X, Y):
+        if not (isinstance(X, np.ndarray) and isinstance(Y, np.ndarray) and X.shape[1] == Y.shape[1]):
+            return super()._cross(X, Y)
+        return _by_row_blocks(X, Y, self._block)
+
+    def _block(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class Euclidean(_Coordinates):
+    name = "euclidean"
 
     def _eval(self, x, y):
         same_dim(x, y)
         # hypot of a list of floats: the same value as of the array, unpacked faster
         return math.hypot(*(x - y).tolist())
 
+    def _block(self, X, Y):
+        return hypot_rows(X[:, None, :] - Y[None, :, :])
+
 
 @dataclass(frozen=True)
-class Taxicab(MetricSpec):
+class Taxicab(_Coordinates):
     name = "taxicab"
-
-    def validate_point(self, x):
-        return as_point(x)
-
-    def validate_many(self, points):
-        return as_points(points)
 
     def _eval(self, x, y):
         same_dim(x, y)
         return float(sum(abs(a - b) for a, b in zip(x, y)))
 
+    def _block(self, X, Y):
+        diff = np.abs(X[:, None, :] - Y[None, :, :])
+        out = diff[..., 0].copy()
+        for k in range(1, diff.shape[-1]):  # left to right, as sum() adds
+            out += diff[..., k]
+        return out
+
 
 @dataclass(frozen=True)
-class Chebyshev(MetricSpec):
+class Chebyshev(_Coordinates):
     name = "chebyshev"
-
-    def validate_point(self, x):
-        return as_point(x)
-
-    def validate_many(self, points):
-        return as_points(points)
 
     def _eval(self, x, y):
         same_dim(x, y)
         return max(map(abs, (x - y).tolist()))
 
+    def _block(self, X, Y):
+        return np.abs(X[:, None, :] - Y[None, :, :]).max(-1)
+
 
 @dataclass(frozen=True)
-class Discrete(MetricSpec):
+class Discrete(_Coordinates):
     name = "discrete"
-
-    def validate_point(self, x):
-        return as_point(x)
-
-    def validate_many(self, points):
-        return as_points(points)
 
     def _eval(self, x, y):
         same_dim(x, y)
         return 0.0 if all(a == b for a, b in zip(x, y)) else 1.0
+
+    def _block(self, X, Y):
+        return np.where((X[:, None, :] == Y[None, :, :]).all(-1), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -175,6 +233,9 @@ class RealLine(MetricSpec):
     def _eval(self, x, y):
         return abs(x - y)
 
+    def _cross(self, X, Y):
+        return _abs_difference(np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
+
 
 @dataclass(frozen=True)
 class GreatCircle(MetricSpec):
@@ -186,17 +247,23 @@ class GreatCircle(MetricSpec):
         return sphere.sphere_point(x)
 
     def validate_many(self, points):
-        rows = as_points(points, dim=3)
-        norms = np.array([sphere.unit_norm(v) for v in np.asarray(rows).tolist()])
-        return rows / norms.reshape(-1, 1)
+        return sphere.sphere_points(points)
 
     def _eval(self, x, y):
         return sphere.arc_length(x, y)
 
+    def _cross(self, X, Y):
+        return _by_row_blocks(X, Y, lambda Xb, Y: sphere.arc_lengths(Xb[:, None, :], Y[None, :, :]))
+
 
 @dataclass(frozen=True, eq=False)
 class GraphPath(MetricSpec):
-    """Shortest-path metric over the vertices of a weighted graph."""
+    """Shortest-path metric over the vertices of a weighted graph.
+
+    Each pair is read from the SSSP row of its smaller vertex id, as
+    ``shortest_path_distance`` reads it, so d(u, v) and d(v, u) are the same
+    float.
+    """
 
     graph: WeightedGraph
     name = "graphpath"
@@ -205,7 +272,42 @@ class GraphPath(MetricSpec):
         return self.graph.check_vertex(x)
 
     def _eval(self, x, y):
-        return shortest_path_distance(self.graph, x, y)
+        source, target = (x, y) if x <= y else (y, x)
+        row = self.graph._sssp_cache.get(source)
+        if row is None:
+            row = self.graph.single_source(source)
+        d = float(row[target])
+        if math.isinf(d):
+            raise no_path_error(x, y)
+        return d
+
+    def _cross(self, X, Y):
+        """Row x takes the pairs with y >= x from x's SSSP row; column y then
+        takes the pairs with x > y from y's. SSSP runs only from the ids
+        that are the smaller one of some pair, once per call."""
+        xs, ys = np.asarray(X, dtype=np.intp), np.asarray(Y, dtype=np.intp)
+        out = np.empty((len(xs), len(ys)))
+        rows: dict[int, np.ndarray] = {}
+
+        def row(s):
+            if s not in rows:
+                rows[s] = self.graph.single_source(s)
+            return rows[s]
+
+        top = ys.max(initial=-1)
+        for i, x in enumerate(X):
+            if x <= top:
+                out[i] = row(x)[ys]
+        for j, y in enumerate(Y):
+            below = xs > y
+            if below.any():
+                out[below, j] = row(y)[xs[below]]
+        for lo, hi in row_blocks(len(xs), len(ys)):
+            unreachable = np.isinf(out[lo:hi])
+            if unreachable.any():
+                i, j = np.argwhere(unreachable)[0]
+                raise no_path_error(X[lo + i], Y[j])
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,7 +321,12 @@ class PolylineArc(MetricSpec):
         return self.polyline.check_index(x)
 
     def _eval(self, x, y):
-        return self.polyline.arc_distance(x, y)
+        cum = self.polyline.cumulative
+        return abs(cum[y] - cum[x])
+
+    def _cross(self, X, Y):
+        cum = np.asarray(self.polyline.cumulative)
+        return _abs_difference(cum[np.asarray(X, dtype=np.intp)], cum[np.asarray(Y, dtype=np.intp)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,6 +350,9 @@ class Subspace(MetricSpec):
     def _eval(self, x, y):
         return self.base._eval(x, y)
 
+    def _cross(self, X, Y):
+        return self.base._cross(X, Y)
+
 
 @dataclass(frozen=True, eq=False)
 class MatrixMetric(MetricSpec):
@@ -260,6 +370,9 @@ class MatrixMetric(MetricSpec):
 
     def _eval(self, x, y):
         return float(self.matrix.values[x, y])
+
+    def _cross(self, X, Y):
+        return self.matrix.values[np.ix_(np.asarray(X, dtype=np.intp), np.asarray(Y, dtype=np.intp))]
 
 
 def restrict(spec: MetricSpec, allowed: Sequence) -> Subspace:
@@ -319,18 +432,10 @@ def _canonical_sample(spec: MetricSpec, sample: Sequence) -> Sequence:
     return spec.validate_many(sample)
 
 
-def _pairwise(spec: MetricSpec, pts: list) -> np.ndarray:
-    n = len(pts)
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = spec._eval(pts[i], pts[j])
-    return out
-
-
 def pairwise_distances(spec: MetricSpec, sample: Sequence) -> np.ndarray:
     """Ordered distance matrix D[i, j] = d(sample[i], sample[j])."""
-    return _pairwise(spec, _canonical_sample(spec, sample))
+    pts = _canonical_sample(spec, sample)
+    return spec._cross(pts, pts)
 
 
 def matrix_from_points(spec: MetricSpec, sample: Sequence) -> DistanceMatrix:
@@ -352,11 +457,17 @@ def verify_axioms(spec: MetricSpec, sample: Sequence, tol: ToleranceConfig = DEF
 
     The triple check is exhaustive (n^3), not sampled; witnesses are
     deterministic, in lexicographic index order, capped per axiom at
-    MAX_WITNESSES_PER_AXIOM. Cost: n^2 distance evaluations, O(n^3) time
-    and O(n^2) memory, since the triple check runs one n x n slab per x.
+    MAX_WITNESSES_PER_AXIOM.
+
+    Cost: the n x n table comes from the spec's batch kernel (``_cross``),
+    which evaluates all n^2 ordered pairs in row blocks of about BLOCK_PAIRS
+    pairs, so it adds O(BLOCK_PAIRS * d) memory for d coordinates, not
+    O(n^2 * d), and no Python call per pair for the coordinate metrics. The
+    triangle check then takes O(n^3) time and O(n^2) memory, one n x n slab
+    per x, and is most of the time once n reaches a few hundred.
     """
     pts = _canonical_sample(spec, sample)
-    D = _pairwise(spec, pts)
+    D = spec._cross(pts, pts)
     A = np.abs(D)
     witnesses: list[Witness] = []
 

@@ -70,16 +70,17 @@ class WeightedGraph:
     def single_source(self, source: int) -> np.ndarray:
         """Distances from ``source`` to every vertex (inf where unreachable).
 
-        Label-setting Dijkstra with a binary heap; exact for the nonnegative
-        weights enforced at construction.
+        Label-setting Dijkstra with a binary heap over Python lists; exact
+        for the nonnegative weights enforced at construction. The result is
+        a read-only float64 array, memoized per source.
         """
         source = self.check_vertex(source)
         cached = self._sssp_cache.get(source)
         if cached is not None:
             return cached
-        dist = np.full(self.vertex_count, np.inf)
+        dist = [math.inf] * self.vertex_count
         dist[source] = 0.0
-        done = np.zeros(self.vertex_count, dtype=bool)
+        done = [False] * self.vertex_count
         heap = [(0.0, source)]
         while heap:
             d, u = heapq.heappop(heap)
@@ -91,9 +92,18 @@ class WeightedGraph:
                 if nd < dist[v]:
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
-        dist.setflags(write=False)
-        self._sssp_cache[source] = dist
-        return dist
+        row = np.array(dist)
+        row.setflags(write=False)
+        self._sssp_cache[source] = row
+        return row
+
+
+def no_path_error(u: int, v: int) -> UnreachableError:
+    """The error for a vertex pair that no path joins."""
+    return UnreachableError(
+        f"no path joins vertices {u} and {v}: the distance is infinite, so a "
+        "disconnected graph is not a metric space over all vertices"
+    )
 
 
 def shortest_path_distance(g: WeightedGraph, u, v) -> float:
@@ -107,10 +117,7 @@ def shortest_path_distance(g: WeightedGraph, u, v) -> float:
     source, target = (u, v) if u <= v else (v, u)
     d = float(g.single_source(source)[target])
     if math.isinf(d):
-        raise UnreachableError(
-            f"no path joins vertices {u} and {v}: the distance is infinite, so a "
-            "disconnected graph is not a metric space over all vertices"
-        )
+        raise no_path_error(u, v)
     return d
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_TOL, MetricSpec, ToleranceConfig
+from .core import DEFAULT_TOL, MetricSpec, ToleranceConfig, row_blocks
 from .points import as_point
 
 ORTHOGONALITY_TOL = 1e-9
@@ -200,14 +200,20 @@ def is_isometry(
     every sample pair; otherwise returns the first violating pair (in
     lexicographic index order) with both distances. Images must stay in the
     metric's carrier, or a CarrierError propagates.
+
+    Distances come from the spec's batch kernel, one row block at a time;
+    the scan stops after the first block that holds a violation.
     """
-    pts = [spec.validate_point(x) for x in sample]
-    images = [spec.validate_point(apply_map(m, p)) for p in pts]
+    pts = spec.validate_many(sample)
+    images = spec.validate_many([apply_map(m, p) for p in pts])
     n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            before = spec._eval(pts[i], pts[j])
-            after = spec._eval(images[i], images[j])
-            if abs(after - before) > tol.abs_tol + tol.rel_tol * abs(before):
-                return False, IsometryWitness(sample[i], sample[j], float(before), float(after))
+    for lo, hi in row_blocks(n - 1, n):
+        # column c holds j = lo + 1 + c, so the pairs j > i lie on and above the diagonal
+        before = spec._cross(pts[lo:hi], pts[lo + 1 :])
+        after = spec._cross(images[lo:hi], images[lo + 1 :])
+        bad = np.triu(np.abs(after - before) > tol.abs_tol + tol.rel_tol * np.abs(before))
+        if bad.any():
+            k, c = np.argwhere(bad)[0]
+            i, j = lo + k, lo + 1 + c
+            return False, IsometryWitness(sample[i], sample[j], float(before[k, c]), float(after[k, c]))
     return True, None

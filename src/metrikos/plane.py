@@ -36,6 +36,16 @@ def euclidean_distance(p, q) -> float:
     return math.hypot(*(pa - qa))
 
 
+def hypot_rows(V: np.ndarray) -> np.ndarray:
+    """``math.hypot`` of each row of a (..., d) array, bit for bit.
+
+    This is the norm the scalar formulas use; ``np.hypot`` and
+    ``np.linalg.norm`` round differently in the last bit.
+    """
+    flat = V.reshape(-1, V.shape[-1])
+    return np.fromiter(map(math.hypot, *flat.T.tolist()), float, len(flat)).reshape(V.shape[:-1])
+
+
 def taxicab_distance(p, q) -> float:
     """Sum of absolute coordinate differences."""
     pa, qa = as_point(p), as_point(q)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CarrierError, DegenerateGeometryError
-from .plane import euclidean_distance
-from .points import as_point
+from .plane import euclidean_distance, hypot_rows
+from .points import as_point, as_points
 
 # Construction accepts vectors this far from unit norm and renormalizes them.
 UNIT_NORM_TOL = 1e-9
@@ -87,17 +87,17 @@ class Circle3D:
 
 
 def sphere_points(P) -> np.ndarray:
-    """Validate and renormalize an (n, 3) array of unit-sphere points."""
-    Pa = np.asarray(P, dtype=float)
-    if Pa.ndim != 2 or Pa.shape[1] != 3:
-        raise ValueError(f"expected an (n, 3) array, got shape {Pa.shape}")
-    if not np.all(np.isfinite(Pa)):
-        raise ValueError("coordinates must be finite")
-    norms = np.linalg.norm(Pa, axis=1)
-    if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
-        worst = float(norms[np.argmax(np.abs(norms - 1.0))])
-        raise CarrierError(f"rows must lie on the unit sphere: worst norm {worst!r}")
-    return Pa / norms[:, None]
+    """Validate and renormalize a sequence of unit-sphere points.
+
+    Returns the rows of an (n, 3) array; row k equals ``sphere_point(P[k])``
+    bit for bit, and a point that ``sphere_point`` rejects raises its error.
+    """
+    rows = np.asarray(as_points(P, dim=3)).reshape(-1, 3)
+    norms = hypot_rows(rows)
+    bad = np.abs(norms - 1.0) > UNIT_NORM_TOL
+    if bad.any():
+        unit_norm(rows[np.argmax(bad)])
+    return rows / norms[:, None]
 
 
 def chord_distance(p, q) -> float:
@@ -106,15 +106,15 @@ def chord_distance(p, q) -> float:
 
 
 def chord_distances(P, Q) -> np.ndarray:
-    """Rowwise chord distances between two (n, 3) sphere-point arrays."""
-    return np.linalg.norm(sphere_points(P) - sphere_points(Q), axis=1)
+    """Rowwise chord distances between two (n, 3) sphere-point arrays; row k
+    equals ``chord_distance(P[k], Q[k])`` bit for bit."""
+    return hypot_rows(sphere_points(P) - sphere_points(Q))
 
 
 def great_circle_distances(P, Q) -> np.ndarray:
-    """Rowwise shorter-arc lengths between two (n, 3) sphere-point arrays,
-    by the formula of ``arc_length``."""
-    Pa, Qa = sphere_points(P), sphere_points(Q)
-    return np.arctan2(np.linalg.norm(np.cross(Pa, Qa), axis=1), np.einsum("ij,ij->i", Pa, Qa))
+    """Rowwise shorter-arc lengths between two (n, 3) sphere-point arrays;
+    row k equals ``great_circle_distance(P[k], Q[k])`` bit for bit."""
+    return arc_lengths(sphere_points(P), sphere_points(Q))
 
 
 def arc_length(p: np.ndarray, q: np.ndarray) -> float:
@@ -122,6 +122,22 @@ def arc_length(p: np.ndarray, q: np.ndarray) -> float:
     between them, bitwise symmetric in (p, q), exactly 0 for p == q."""
     (a, b, c), (d, e, f) = p.tolist(), q.tolist()
     return math.atan2(math.hypot(b * f - c * e, c * d - a * f, a * e - b * d), a * d + b * e + c * f)
+
+
+def arc_lengths(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """``arc_length`` of every pair of rows of two broadcastable (..., 3)
+    arrays of validated unit vectors, bit for bit.
+
+    numpy forms the cross and dot products in the scalar formula's order;
+    ``math.hypot`` and ``math.atan2`` finish each pair, since ``np.arctan2``
+    and ``np.linalg.norm`` round differently in the last bit.
+    """
+    a, b, c = np.moveaxis(P, -1, 0)
+    d, e, f = np.moveaxis(Q, -1, 0)
+    dot = a * d + b * e + c * f
+    cross = (b * f - c * e, c * d - a * f, a * e - b * d)
+    sin = map(math.hypot, *(t.ravel().tolist() for t in cross))
+    return np.fromiter(map(math.atan2, sin, dot.ravel().tolist()), float, dot.size).reshape(dot.shape)
 
 
 def great_circle_distance(p, q) -> float:

@@ -6,7 +6,7 @@ import pytest
 
 import metrikos as mk
 from metrikos import sampling
-from metrikos.core import MAX_WITNESSES_PER_AXIOM
+from metrikos.core import BLOCK_PAIRS, MAX_WITNESSES_PER_AXIOM
 
 from _support import builtin_cases
 
@@ -29,6 +29,96 @@ def brute_force_triangle_witnesses(D, tol) -> list:
                 if lhs > rhs + slack:
                     found.append(mk.Witness("triangle", (x, y, z), float(lhs), float(rhs)))
     return found
+
+
+def per_pair_table(spec, sample) -> np.ndarray:
+    """The reference for the batch kernels: one ``_eval`` per ordered pair."""
+    pts = [spec.validate_point(x) for x in sample]
+    return np.array([[spec._eval(x, y) for y in pts] for x in pts], dtype=float)
+
+
+def outcome(fn):
+    """The table fn() returns, or the type and message of what it raises."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def wide_range_points(rng, n, dim) -> list:
+    """Coordinates of magnitude 1e-300 to 1e300 and both signs, with a
+    repeated point and a repeated coordinate."""
+    X = 10.0 ** rng.uniform(-300, 300, size=(n, dim)) * rng.choice([-1.0, 1.0], size=(n, dim))
+    X[7] = X[2]
+    X[5, 0] = X[4, 0]
+    return list(X)
+
+
+def batch_kernel_cases(rng, n) -> list:
+    """(spec, sample) for all ten built-in kinds, with samples that span
+    several row blocks and repeat points."""
+    cases = []
+    for dim in (1, 3, 5):
+        pts = wide_range_points(rng, n, dim)
+        cases += [(cls(), pts) for cls in (mk.Euclidean, mk.Taxicab, mk.Chebyshev, mk.Discrete)]
+        cases.append((mk.restrict(mk.Euclidean(), pts), pts))
+    reals = [float(x[0]) for x in wide_range_points(rng, n, 1)]
+    cases.append((mk.RealLine(), reals))
+    sphere = list(sampling.random_sphere_points(rng, n))
+    sphere[3] = sphere[1]
+    sphere[4] = -sphere[0]  # antipodal pair
+    cases.append((mk.GreatCircle(), sphere))
+    graph = sampling.random_connected_graph(rng, 2 * n, extra_edges=n)
+    cases.append((mk.GraphPath(graph), [int(v) for v in rng.integers(0, 2 * n, size=n)]))
+    poly = sampling.random_polyline(rng, n)
+    cases.append((mk.PolylineArc(poly), [int(v) for v in rng.integers(0, n, size=n)]))
+    # a non-metric matrix: asymmetric, signed, nonzero diagonal
+    D = mk.DistanceMatrix(rng.normal(size=(n, n)))
+    cases.append((mk.MatrixMetric(D), [int(v) for v in rng.integers(0, n, size=n)]))
+    return cases
+
+
+class TestBatchKernel:
+    def test_pairwise_equals_per_pair_loop_bitwise(self, rng):
+        n = 100  # rows 0..39, 40..79, 80..99 at BLOCK_PAIRS = 4096
+        assert BLOCK_PAIRS // n < n
+        cases = batch_kernel_cases(rng, n)
+        assert {spec.name for spec, _ in cases} == {spec.name for spec, _ in builtin_cases(rng)}
+        for spec, sample in cases:
+            got, want = mk.pairwise_distances(spec, sample), per_pair_table(spec, sample)
+            assert got.shape == want.shape == (n, n)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), spec.name
+
+    def test_every_builtin_spec_has_a_batch_kernel(self, rng):
+        for spec, _ in builtin_cases(rng):
+            assert type(spec)._cross is not mk.MetricSpec._cross, spec.name
+
+    def test_disconnected_graph_raises_like_the_loop(self):
+        g = mk.WeightedGraph(7, [(0, 1, 1.0), (2, 3, 2.5), (3, 4, 0.5), (5, 6, 1.0)])
+        for sample in ([1, 0, 4, 2, 5], [4, 3, 2, 0], [6, 5, 0], [2, 4, 3, 4, 1], [3, 2, 4, 6, 6]):
+            got = outcome(lambda: mk.pairwise_distances(mk.GraphPath(g), sample))
+            want = outcome(lambda: per_pair_table(mk.GraphPath(g), sample))
+            assert got[0] is mk.UnreachableError, sample
+            assert got == want, sample
+
+    def test_ragged_sample_raises_like_the_loop(self):
+        for sample in ([(0.0, 0.0), (1.0, 2.0), (1.0, 2.0, 3.0)], [(1.0, 2.0, 3.0), 4.0]):
+            for cls in (mk.Euclidean, mk.Taxicab, mk.Chebyshev, mk.Discrete):
+                got = outcome(lambda: mk.pairwise_distances(cls(), sample))
+                assert got[0] is ValueError and got == outcome(lambda: per_pair_table(cls(), sample))
+
+    def test_memory_is_bounded_per_row_block(self, rng):
+        # the 384 x 384 table is 1.125 MB; a kernel that takes all pairs at
+        # once builds a 384 x 384 x 3 difference table (3.4 MB) beside it
+        sample = list(sampling.random_points(rng, 384, dim=3))
+        tracemalloc.start()
+        try:
+            D = mk.pairwise_distances(mk.Taxicab(), sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert D.shape == (384, 384)
+        assert peak < 2 * 2**20, f"pairwise_distances peaked at {peak / 2**20:.2f} MB"
 
 
 class TestDistanceDispatch:

@@ -110,7 +110,64 @@ class TestCompose:
             mk.compose(mk.identity_map(), mk.SphereMap(np.eye(3)))
 
 
+def per_pair_isometry(m, spec, sample, tol=mk.ToleranceConfig()):
+    """The reference for is_isometry: one ``_eval`` pair at a time, in
+    lexicographic order; returns the verdict and the first violating (i, j)
+    with both distances."""
+    pts = [spec.validate_point(x) for x in sample]
+    images = [spec.validate_point(mk.apply_map(m, p)) for p in pts]
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            before, after = spec._eval(pts[i], pts[j]), spec._eval(images[i], images[j])
+            if abs(after - before) > tol.abs_tol + tol.rel_tol * abs(before):
+                return False, (i, j, float(before), float(after))
+    return True, None
+
+
 class TestIsIsometry:
+    def test_witness_equals_per_pair_reference(self, rng):
+        n = 150  # row blocks of 27 rows at BLOCK_PAIRS = 4096
+        sample = list(sampling.random_points(rng, n, low=-4, high=4))
+        # projection onto the x1 axis keeps distinct points apart under the
+        # discrete metric unless they share x1: only pair (120, 140) does,
+        # far past the first row block
+        sample[140] = np.array([sample[120][0], sample[140][1]])
+        maps = [
+            mk.rotation(0.7),
+            mk.rotation(math.pi / 2),
+            mk.PlaneMap(2.0 * np.eye(2), np.zeros(2)),
+            mk.PlaneMap([[1.0, 0.0], [0.0, 0.0]], np.zeros(2)),
+            mk.translation(2.5, -1.25),
+        ]
+        verdicts = set()
+        for metric in PLANE_METRICS + [mk.Discrete()]:
+            for m in maps:
+                ok, witness = mk.is_isometry(m, metric, sample)
+                want_ok, want = per_pair_isometry(m, metric, sample)
+                assert ok == want_ok, metric.name
+                verdicts.add(ok)
+                if want is None:
+                    assert witness is None
+                    continue
+                i, j, before, after = want
+                assert witness.x is sample[i] and witness.y is sample[j], (metric.name, i, j)
+                assert (witness.before, witness.after) == (before, after)
+                if metric.name == "discrete" and m.linear[1, 1] == 0.0:
+                    assert (i, j) == (120, 140)
+        assert verdicts == {True, False}
+
+    def test_sphere_witness_equals_per_pair_reference(self, rng):
+        sample = list(sampling.random_sphere_points(rng, 90))
+        m = mk.rotation_about_axis((0.3, -1.0, 0.2), 2.1)
+        for tol in (mk.ToleranceConfig(), mk.ToleranceConfig(abs_tol=0.0, rel_tol=0.0)):
+            ok, witness = mk.is_isometry(m, mk.GreatCircle(), sample, tol)
+            want_ok, want = per_pair_isometry(m, mk.GreatCircle(), sample, tol)
+            assert ok == want_ok
+            if want is not None:
+                i, j, before, after = want
+                assert witness.x is sample[i] and witness.y is sample[j]
+                assert (witness.before, witness.after) == (before, after)
+
     def test_rotation_preserves_euclidean(self, rng):
         sample = list(sampling.random_points(rng, 32))
         ok, witness = mk.is_isometry(mk.rotation(math.pi / 4), mk.Euclidean(), sample)
