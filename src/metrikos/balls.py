@@ -14,9 +14,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import plane
 from .core import Chebyshev, Euclidean, MetricSpec, Taxicab, distance
-from .points import as_point
+from .points import as_point, as_points
 
 BOUNDARY_TOL = 1e-9
 
@@ -62,24 +61,24 @@ def check_nesting(
     enforced as errors; a False verdict therefore indicates a broken distance
     implementation, and the first violating probe is returned as evidence.
 
-    The whole probe set is validated (``metric.validate_many``) before any
-    probe is evaluated, so a probe outside the carrier raises even when an
-    earlier probe would be a witness.
+    The whole probe set is validated (``metric.validate_many``), and then
+    one 2 x m table of distances from q and from p to the m probes comes from
+    the metric's batch kernel (``_cross``). So a probe outside the carrier
+    raises even when an earlier probe would be a witness, and so does a probe
+    the kernel cannot evaluate, such as an unreachable graph vertex or a
+    point of another dimension.
     """
     r, t = float(r), float(t)
-    cp = metric.validate_point(p)
-    cq = metric.validate_point(q)
-    dpq = metric._eval(cp, cq)
+    dpq = metric._eval(metric.validate_point(p), metric.validate_point(q))
     if not dpq < r:
         raise ValueError(f"q must lie inside B(p, r): d(p, q) = {dpq} >= r = {r}")
     if not 0 < t <= r - dpq:
         raise ValueError(f"need 0 < t <= r - d(p, q) = {r - dpq}, got t = {t}")
-    for k, cx in enumerate(metric.validate_many(probes)):
-        inner = metric._eval(cq, cx)
-        if inner < t:
-            outer = metric._eval(cp, cx)
-            if not outer < r:
-                return False, NestingWitness(probes[k], float(inner), float(outer))
+    inner, outer = metric._cross(metric.validate_many([q, p]), metric.validate_many(probes))
+    escaped = np.flatnonzero((inner < t) & ~(outer < r))
+    if escaped.size:
+        k = escaped[0]
+        return False, NestingWitness(probes[k], float(inner[k]), float(outer[k]))
     return True, None
 
 
@@ -102,22 +101,15 @@ class BoundaryPolyline:
         samples = np.array(self.samples, dtype=float)
         if samples.ndim != 2 or samples.shape[1] != 2:
             raise ValueError("samples must be an (n, 2) array")
-        dist_fn = _BOUNDARY_DISTANCES[self.metric_tag]
-        for x in samples:
-            d = dist_fn(self.center, x)
-            if abs(d - self.radius) > BOUNDARY_TOL:
-                raise ValueError(
-                    f"boundary sample {x} is at distance {d}, expected {self.radius}"
-                )
+        samples = as_points(samples, dim=2)  # a non-finite sample raises as_point's error
+        spec = {s.name: s for s in (Euclidean(), Taxicab(), Chebyshev())}[self.metric_tag]
+        d = spec._cross(self.center[None, :], samples)[0]
+        off = np.abs(d - self.radius) > BOUNDARY_TOL
+        if off.any():
+            k = np.argmax(off)
+            raise ValueError(f"boundary sample {samples[k]} is at distance {d[k]}, expected {self.radius}")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
-
-
-_BOUNDARY_DISTANCES = {
-    "euclidean": plane.euclidean_distance,
-    "taxicab": plane.taxicab_distance,
-    "chebyshev": plane.chebyshev_distance,
-}
 
 
 def _split_counts(n: int, parts: int) -> list[int]:

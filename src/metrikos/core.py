@@ -22,8 +22,7 @@ import numpy as np
 from . import sphere
 from .errors import CarrierError
 from .graphs import Polyline, WeightedGraph, no_path_error
-from .plane import hypot_rows
-from .points import as_index, as_point, as_points, as_real, point_key, same_dim
+from .points import as_index, as_point, as_points, as_real, hypot_rows, point_key, same_dim
 
 # Certification keeps at most this many witnesses per axiom, in lexicographic
 # index order, to bound report size on badly broken inputs.
@@ -150,9 +149,10 @@ class MetricSpec:
 class _Coordinates(MetricSpec):
     """Points of R^d, validated to the rows of one float64 array.
 
-    ``_block`` computes a row block of the table from two (., d) arrays.
-    Ragged points (a list from ``validate_many``) take the per-pair loop,
-    which raises the dimension mismatch.
+    Each metric has one row kernel, ``_rows(diff)``, which maps a (..., d)
+    array of coordinate differences x - y to the (...) distances. Ragged
+    points (a list from ``validate_many``) take the per-pair loop, which
+    raises the dimension mismatch.
     """
 
     def validate_point(self, x):
@@ -167,6 +167,9 @@ class _Coordinates(MetricSpec):
         return _by_row_blocks(X, Y, self._block)
 
     def _block(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        return self._rows(X[:, None, :] - Y[None, :, :])
+
+    def _rows(self, diff: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -179,8 +182,8 @@ class Euclidean(_Coordinates):
         # hypot of a list of floats: the same value as of the array, unpacked faster
         return math.hypot(*(x - y).tolist())
 
-    def _block(self, X, Y):
-        return hypot_rows(X[:, None, :] - Y[None, :, :])
+    def _rows(self, diff):
+        return hypot_rows(diff)
 
 
 @dataclass(frozen=True)
@@ -189,12 +192,15 @@ class Taxicab(_Coordinates):
 
     def _eval(self, x, y):
         same_dim(x, y)
-        return float(sum(abs(a - b) for a, b in zip(x, y)))
+        total = 0.0
+        for v in (x - y).tolist():  # left to right: sum() compensates on Python >= 3.12
+            total += abs(v)
+        return total
 
-    def _block(self, X, Y):
-        diff = np.abs(X[:, None, :] - Y[None, :, :])
+    def _rows(self, diff):
+        diff = np.abs(diff)
         out = diff[..., 0].copy()
-        for k in range(1, diff.shape[-1]):  # left to right, as sum() adds
+        for k in range(1, diff.shape[-1]):  # left to right, as _eval adds
             out += diff[..., k]
         return out
 
@@ -207,8 +213,8 @@ class Chebyshev(_Coordinates):
         same_dim(x, y)
         return max(map(abs, (x - y).tolist()))
 
-    def _block(self, X, Y):
-        return np.abs(X[:, None, :] - Y[None, :, :]).max(-1)
+    def _rows(self, diff):
+        return np.abs(diff).max(-1)
 
 
 @dataclass(frozen=True)
@@ -219,8 +225,9 @@ class Discrete(_Coordinates):
         same_dim(x, y)
         return 0.0 if all(a == b for a, b in zip(x, y)) else 1.0
 
-    def _block(self, X, Y):
-        return np.where((X[:, None, :] == Y[None, :, :]).all(-1), 0.0, 1.0)
+    def _rows(self, diff):
+        # finite x - y is 0 exactly when x == y (subnormals, no flush to zero)
+        return np.where((diff == 0).all(-1), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -282,31 +289,29 @@ class GraphPath(MetricSpec):
         return d
 
     def _cross(self, X, Y):
-        """Row x takes the pairs with y >= x from x's SSSP row; column y then
-        takes the pairs with x > y from y's. SSSP runs only from the ids
-        that are the smaller one of some pair, once per call."""
+        """Each pair is gathered from the SSSP row of its smaller id, fetched
+        once per call. The stacked rows keep only the columns of ids that are
+        the larger one of some pair, so they are no larger than the cached
+        rows, and the gather runs by row blocks."""
         xs, ys = np.asarray(X, dtype=np.intp), np.asarray(Y, dtype=np.intp)
-        out = np.empty((len(xs), len(ys)))
-        rows: dict[int, np.ndarray] = {}
+        if not (xs.size and ys.size):
+            return np.empty((len(xs), len(ys)))
+        # np.unique would import numpy.ma, about 1 MB of RSS, so the id sets are masks
+        is_source, is_target = np.zeros((2, self.graph.vertex_count), dtype=bool)
+        is_source[xs[xs <= ys.max()]] = is_source[ys[ys <= xs.max()]] = True
+        is_target[xs[xs >= ys.min()]] = is_target[ys[ys >= xs.min()]] = True
+        targets = np.flatnonzero(is_target)
+        rows = np.array([self.graph.single_source(s)[targets] for s in np.flatnonzero(is_source).tolist()])
+        slot, col = np.cumsum(is_source) - 1, np.cumsum(is_target) - 1  # id -> its row, its column
 
-        def row(s):
-            if s not in rows:
-                rows[s] = self.graph.single_source(s)
-            return rows[s]
+        def block(xb, ys):
+            return rows[slot[np.minimum.outer(xb, ys)], col[np.maximum.outer(xb, ys)]]
 
-        top = ys.max(initial=-1)
-        for i, x in enumerate(X):
-            if x <= top:
-                out[i] = row(x)[ys]
-        for j, y in enumerate(Y):
-            below = xs > y
-            if below.any():
-                out[below, j] = row(y)[xs[below]]
-        for lo, hi in row_blocks(len(xs), len(ys)):
-            unreachable = np.isinf(out[lo:hi])
-            if unreachable.any():
-                i, j = np.argwhere(unreachable)[0]
-                raise no_path_error(X[lo + i], Y[j])
+        out = _by_row_blocks(xs, ys, block)
+        unreachable = np.isinf(out)
+        if unreachable.any():
+            i, j = np.unravel_index(np.argmax(unreachable), out.shape)
+            raise no_path_error(X[i], Y[j])
         return out
 
 

@@ -9,14 +9,14 @@ vertex pair is connected.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from typing import Sequence
 
 import numpy as np
 
 from .errors import UnreachableError
-from .plane import euclidean_distance
-from .points import as_index, as_point
+from .points import as_index, as_point, hypot_rows
 
 
 class WeightedGraph:
@@ -154,44 +154,38 @@ def count_geodesics(g: WeightedGraph, u, v) -> int:
 
     Requires every edge length to be a positive integer so that ties between
     path lengths are detected exactly; real-valued lengths are refused
-    rather than compared against a tolerance. Counts by dynamic programming
-    over the DAG of shortest-path edges.
+    rather than compared against a tolerance. The total edge length must
+    also be below 2**53: every shortest path is at most that long, so every
+    distance and every sum compared below is an exact float64 integer.
+    Larger graphs are refused with ValueError.
+
+    Counts as in Brandes' betweenness algorithm, by dynamic programming over
+    the cached ``single_source(u)`` row: sigma(u) = 1, and in order of
+    distance, sigma(b) is the sum of sigma(a) over the neighbors a with
+    d(u, a) + w(a, b) == d(u, b).
     """
     u, v = g.check_vertex(u), g.check_vertex(v)
-    weights = {}
-    for a, b, length in g.edges:
-        w = int(length)
-        if w != length:
-            raise ValueError(
-                f"geodesic counting requires integer edge lengths, got {length}"
-            )
-        weights[(a, b)] = weights[(b, a)] = w
-    # integer-exact Dijkstra from u
-    dist: dict[int, int] = {u: 0}
-    done = set()
-    heap = [(0, u)]
-    while heap:
-        d, a = heapq.heappop(heap)
-        if a in done:
-            continue
-        done.add(a)
-        for b, _ in g._adj[a]:
-            nd = d + weights[(a, b)]
-            if b not in dist or nd < dist[b]:
-                dist[b] = nd
-                heapq.heappush(heap, (nd, b))
-    if v not in done:
-        raise UnreachableError(f"vertices {u} and {v} are in different components")
-    counts: dict[int, int] = {u: 1}
-    for a in sorted(done, key=lambda x: dist[x]):
-        if a == u:
-            continue
-        counts[a] = sum(
-            counts.get(b, 0)
-            for b, _ in g._adj[a]
-            if b in dist and dist[b] + weights[(b, a)] == dist[a]
+    total = 0
+    for _, _, length in g.edges:
+        if not length.is_integer():
+            raise ValueError(f"geodesic counting requires integer edge lengths, got {length}")
+        total += int(length)
+    if total >= 2**53:
+        raise ValueError(
+            f"geodesic counting requires a total edge length below 2**53, got {total}: "
+            "longer path sums are not exact in float64"
         )
-    return counts[v]
+    row = g.single_source(u)
+    if math.isinf(row[v]):
+        raise no_path_error(u, v)
+    near = np.flatnonzero(row <= row[v])
+    dist = row.tolist()
+    sigma = [0] * g.vertex_count
+    sigma[u] = 1
+    for b in near[np.argsort(row[near])].tolist():
+        if b != u:
+            sigma[b] = sum(sigma[a] for a, w in g._adj[b] if dist[a] + w == dist[b])
+    return sigma[v]
 
 
 class Polyline:
@@ -211,10 +205,8 @@ class Polyline:
             if a[0] == b[0] and a[1] == b[1]:
                 raise ValueError("consecutive polyline vertices must be distinct")
         self.vertices = pts
-        cum = [0.0]
-        for a, b in zip(pts, pts[1:]):
-            cum.append(cum[-1] + euclidean_distance(a, b))
-        self.cumulative = tuple(cum)
+        steps = hypot_rows(np.diff(pts, axis=0)).tolist()
+        self.cumulative = tuple(itertools.accumulate(steps, initial=0.0))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -232,9 +224,7 @@ class Polyline:
         return abs(self.cumulative[j] - self.cumulative[i])
 
 
-def polyline_arc_distance(c: Polyline, i, j) -> float:
-    """Arc length along ``c`` between vertex positions i and j."""
-    return c.arc_distance(i, j)
+polyline_arc_distance = Polyline.arc_distance
 
 
 def _orient(a, b, c) -> float:

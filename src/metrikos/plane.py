@@ -1,4 +1,10 @@
-"""Coordinate distance formulas on the real line and in n-dimensional space.
+"""Coordinate distances on the real line and in n-dimensional space.
+
+Every function here is a view of a ``MetricSpec`` in ``core``, which holds
+the one formula of each metric. The scalar functions are ``distance`` under
+that spec; the rowwise functions check their two (n, dim) arrays and apply
+the spec's row kernel to the coordinate differences, so row k equals the
+scalar function of row k bit for bit.
 
 The two-coordinate formulas generalize coordinatewise to any dimension; the
 real line is the one-dimensional case.
@@ -9,20 +15,23 @@ real line is the one-dimensional case.
 7.0
 >>> chebyshev_distance((0, 0), (3, 4))
 4.0
+>>> euclidean_distances([[1e300, 0.0]], [[-1e300, 0.0]])
+array([2.e+300])
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .points import as_point, as_real, same_dim
+from .core import Chebyshev, Discrete, Euclidean, RealLine, Taxicab, distance
+
+_EUCLIDEAN, _TAXICAB, _CHEBYSHEV = Euclidean(), Taxicab(), Chebyshev()
+_DISCRETE, _REAL_LINE = Discrete(), RealLine()
 
 
 def real_line_distance(r, t) -> float:
     """Absolute difference |r - t| of two real numbers."""
-    return abs(as_real(r) - as_real(t))
+    return distance(_REAL_LINE, r, t)
 
 
 def euclidean_distance(p, q) -> float:
@@ -31,64 +40,45 @@ def euclidean_distance(p, q) -> float:
     Evaluated as a scaled hypotenuse (math.hypot), so extreme coordinates do
     not overflow the intermediate squares.
     """
-    pa, qa = as_point(p), as_point(q)
-    same_dim(pa, qa)
-    return math.hypot(*(pa - qa))
-
-
-def hypot_rows(V: np.ndarray) -> np.ndarray:
-    """``math.hypot`` of each row of a (..., d) array, bit for bit.
-
-    This is the norm the scalar formulas use; ``np.hypot`` and
-    ``np.linalg.norm`` round differently in the last bit.
-    """
-    flat = V.reshape(-1, V.shape[-1])
-    return np.fromiter(map(math.hypot, *flat.T.tolist()), float, len(flat)).reshape(V.shape[:-1])
+    return distance(_EUCLIDEAN, p, q)
 
 
 def taxicab_distance(p, q) -> float:
-    """Sum of absolute coordinate differences."""
-    pa, qa = as_point(p), as_point(q)
-    same_dim(pa, qa)
-    return float(sum(abs(a - b) for a, b in zip(pa, qa)))
+    """Sum of absolute coordinate differences, added left to right."""
+    return distance(_TAXICAB, p, q)
 
 
 def chebyshev_distance(p, q) -> float:
     """Maximum absolute coordinate difference."""
-    pa, qa = as_point(p), as_point(q)
-    same_dim(pa, qa)
-    return float(max(abs(a - b) for a, b in zip(pa, qa)))
+    return distance(_CHEBYSHEV, p, q)
 
 
 def discrete_distance(p, q) -> float:
     """0 if p and q have exactly equal coordinates, else 1."""
-    pa, qa = as_point(p), as_point(q)
-    same_dim(pa, qa)
-    return 0.0 if all(a == b for a, b in zip(pa, qa)) else 1.0
+    return distance(_DISCRETE, p, q)
 
 
 def _as_rows(P, Q):
+    """The differences P - Q of two matching (n, dim) arrays of finite
+    coordinates."""
     Pa, Qa = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
-    if Pa.shape != Qa.shape or Pa.ndim != 2:
+    if Pa.shape != Qa.shape or Pa.ndim != 2 or Pa.shape[1] == 0:
         raise ValueError(f"expected matching (n, dim) arrays, got {Pa.shape} and {Qa.shape}")
     if not (np.all(np.isfinite(Pa)) and np.all(np.isfinite(Qa))):
         raise ValueError("coordinates must be finite")
-    return Pa, Qa
+    return Pa - Qa
 
 
 def euclidean_distances(P, Q) -> np.ndarray:
     """Rowwise Euclidean distances between two (n, dim) point arrays."""
-    Pa, Qa = _as_rows(P, Q)
-    return np.linalg.norm(Pa - Qa, axis=1)
+    return _EUCLIDEAN._rows(_as_rows(P, Q))
 
 
 def taxicab_distances(P, Q) -> np.ndarray:
     """Rowwise taxicab distances between two (n, dim) point arrays."""
-    Pa, Qa = _as_rows(P, Q)
-    return np.abs(Pa - Qa).sum(axis=1)
+    return _TAXICAB._rows(_as_rows(P, Q))
 
 
 def chebyshev_distances(P, Q) -> np.ndarray:
     """Rowwise Chebyshev distances between two (n, dim) point arrays."""
-    Pa, Qa = _as_rows(P, Q)
-    return np.abs(Pa - Qa).max(axis=1)
+    return _CHEBYSHEV._rows(_as_rows(P, Q))

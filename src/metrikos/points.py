@@ -3,11 +3,14 @@
 Coordinate points are plain 1-D float64 numpy arrays; these helpers coerce
 user input (tuples, lists, arrays) into that form and enforce finiteness.
 Index carriers (graph vertices, polyline vertices, matrix rows) take
-integers in 0..n-1, checked by ``as_index``.
+integers in 0..n-1, checked by ``as_index``. ``hypot_rows`` is the
+row-wise form of the Euclidean norm, shared by the coordinate and sphere
+kernels.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -89,6 +92,17 @@ def as_real(x) -> float:
     if not np.isfinite(v):
         raise ValueError(f"value must be finite, got {v!r}")
     return v
+
+
+def hypot_rows(V: np.ndarray) -> np.ndarray:
+    """``math.hypot`` of each row of a (..., d) array, bit for bit.
+
+    This is the norm of every scalar formula; ``np.hypot`` and
+    ``np.linalg.norm`` round differently in the last bit, and the latter
+    overflows to inf once a coordinate passes about 1e154.
+    """
+    flat = V.reshape(-1, V.shape[-1])
+    return np.fromiter(map(math.hypot, *flat.T.tolist()), float, len(flat)).reshape(V.shape[:-1])
 
 
 def same_dim(p: np.ndarray, q: np.ndarray) -> None:

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CarrierError, DegenerateGeometryError
-from .plane import euclidean_distance, hypot_rows
-from .points import as_point, as_points
+from .points import as_point, as_points, hypot_rows
 
 # Construction accepts vectors this far from unit norm and renormalizes them.
 UNIT_NORM_TOL = 1e-9
@@ -102,7 +101,7 @@ def sphere_points(P) -> np.ndarray:
 
 def chord_distance(p, q) -> float:
     """Straight-line (ambient Euclidean) distance between two sphere points."""
-    return euclidean_distance(sphere_point(p), sphere_point(q))
+    return math.hypot(*(sphere_point(p) - sphere_point(q)).tolist())
 
 
 def chord_distances(P, Q) -> np.ndarray:
@@ -130,7 +129,7 @@ def arc_lengths(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
     numpy forms the cross and dot products in the scalar formula's order;
     ``math.hypot`` and ``math.atan2`` finish each pair, since ``np.arctan2``
-    and ``np.linalg.norm`` round differently in the last bit.
+    and numpy's norms round differently in the last bit.
     """
     a, b, c = np.moveaxis(P, -1, 0)
     d, e, f = np.moveaxis(Q, -1, 0)
@@ -208,12 +207,13 @@ def circular_projection(c: Circle2D, p) -> np.ndarray:
 
 
 def circular_projections(c: Circle2D, P) -> np.ndarray:
-    """Rowwise radial projection of an (n, 2) point array onto ``c``."""
+    """Rowwise radial projection of an (n, 2) point array onto ``c``; row k
+    equals ``circular_projection(c, P[k])`` bit for bit."""
     Pa = np.asarray(P, dtype=float)
     if Pa.ndim != 2 or Pa.shape[1] != 2:
         raise ValueError(f"expected an (n, 2) array, got shape {Pa.shape}")
     V = Pa - c.center
-    norms = np.linalg.norm(V, axis=1)
+    norms = hypot_rows(V)
     if np.any(norms == 0.0):
         raise ValueError("circular projection is undefined at the circle center")
     return c.center + (c.radius / norms)[:, None] * V
@@ -239,7 +239,7 @@ def circle_extremal_points(x, c: Circle3D) -> tuple[np.ndarray, np.ndarray]:
     u = u / n
     a = c.center + c.radius * u
     b = c.center - c.radius * u
-    if euclidean_distance(xa, a) <= euclidean_distance(xa, b):
+    if math.hypot(*(xa - a).tolist()) <= math.hypot(*(xa - b).tolist()):
         return a, b
     return b, a
 

@@ -44,8 +44,12 @@ class Viewport:
         return cls(scale=scale, x_shift=x_shift, y_shift=y_shift, height=height)
 
     def map(self, p) -> tuple[float, float]:
-        pa = as_point(p, dim=2)
-        return (self.scale * pa[0] + self.x_shift, -self.scale * pa[1] + self.y_shift)
+        return tuple(self.map_rows(as_point(p, dim=2)[None, :])[0])
+
+    def map_rows(self, P: np.ndarray) -> np.ndarray:
+        """Pixel coordinates of the rows of an (n, 2) array of validated
+        points: the one pixel formula, which ``map`` applies to one point."""
+        return np.column_stack([self.scale * P[:, 0] + self.x_shift, -self.scale * P[:, 1] + self.y_shift])
 
 
 @dataclass
@@ -100,7 +104,7 @@ def ball_figure(boundary: BoundaryPolyline, width: int = 512, height: int = 512)
     ys = np.append(samples[:, 1], boundary.center[1])
     vp = Viewport.fit(xs.min(), xs.max(), ys.min(), ys.max(), width, height)
     scene = SvgScene(width=width, height=height)
-    scene.add_polygon([vp.map(p) for p in samples])
+    scene.add_polygon(vp.map_rows(samples))
     cx, cy = vp.map(boundary.center)
     scene.add_cross(cx, cy)
     scene.add_text(10.0, float(height) - 10.0, f"{boundary.metric_tag} ball, r = {boundary.radius:.12g}")

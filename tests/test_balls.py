@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,8 +7,43 @@ import pytest
 import metrikos as mk
 from metrikos import sampling
 from metrikos.plane import chebyshev_distance, euclidean_distance, taxicab_distance
+from metrikos.points import as_point
 
 from _support import builtin_cases
+
+
+def per_probe_nesting(spec, p, r, q, t, probes):
+    """The nesting check one probe at a time: the verdict and, for the first
+    probe in B(q, t) but not in B(p, r), the probe and both distances."""
+    cp, cq = spec.validate_point(p), spec.validate_point(q)
+    for x in probes:
+        cx = spec.validate_point(x)
+        inner, outer = float(spec._eval(cq, cx)), float(spec._eval(cp, cx))
+        if inner < t and not outer < r:
+            return False, (x, inner.hex(), outer.hex())
+    return True, None
+
+
+def nesting_outcome(spec, p, r, q, t, probes):
+    ok, witness = mk.check_nesting(spec, p, r, q, t, probes)
+    if witness is None:
+        return ok, None
+    return ok, (witness.probe, witness.inner_distance.hex(), witness.outer_distance.hex())
+
+
+@dataclass(frozen=True)
+class OriginInflated(mk.MetricSpec):
+    """Not a metric: Euclidean, but tripled between the origin and any other
+    point. Defines only ``_eval``, so it takes the per-pair ``_cross``."""
+
+    name = "origin-inflated"
+
+    def validate_point(self, x):
+        return as_point(x)
+
+    def _eval(self, x, y):
+        d = mk.Euclidean()._eval(x, y)
+        return 3.0 * d if not (x.any() and y.any()) else d
 
 
 class TestBallContains:
@@ -101,6 +137,13 @@ class TestNesting:
         with pytest.raises(mk.CarrierError):
             mk.check_nesting(broken, 0, 1.0, 1, 0.5, [2, 3])
 
+        # so does a probe the kernel cannot evaluate: probe 0 is a witness
+        # against this broken candidate, and probe 1 has another dimension
+        spec = OriginInflated()
+        assert nesting_outcome(spec, (0, 0), 1.0, (0.2, 0), 0.3, [(0.45, 0)])[0] is False
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            mk.check_nesting(spec, (0, 0), 1.0, (0.2, 0), 0.3, [(0.45, 0), (0.45, 0, 0)])
+
     def test_graph_nesting_with_all_vertices(self, rng):
         g = sampling.random_connected_graph(rng, 25, extra_edges=30)
         spec = mk.GraphPath(g)
@@ -114,6 +157,43 @@ class TestNesting:
                 continue
             ok, witness = mk.check_nesting(spec, int(p), r, int(q), t, vertices)
             assert ok, witness
+            assert mk.check_nesting(spec, int(p), r, int(q), t, []) == (True, None)
+
+    def test_broken_metrics_match_the_per_probe_reference(self, rng):
+        # a line metric |i - j| / 10 with d(0, 3), d(0, 4) and d(0, 5)
+        # raised to 1, 2 and 3: in B(1, 0.5) but outside the open B(0, 1),
+        # 3, 4 and 5 are the only witnesses, and they come last
+        n = 40
+        line = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) / 10.0
+        line[0, 3:6] = line[3:6, 0] = (1.0, 2.0, 3.0)
+        spec = mk.MatrixMetric(mk.DistanceMatrix(line))
+        probes = list(range(10, n)) * 2 + [2, 3, 5, 4]
+        got = nesting_outcome(spec, 0, 1.0, 1, 0.5, probes)
+        assert got == per_probe_nesting(spec, 0, 1.0, 1, 0.5, probes) == (False, (3, 0.2.hex(), 1.0.hex()))
+        probes[-3] = 2
+        assert nesting_outcome(spec, 0, 1.0, 1, 0.5, probes) == (False, (5, 0.4.hex(), 3.0.hex()))
+
+        # random non-metric matrices and the origin-inflated plane
+        falses = 0
+        for _ in range(20):
+            values = rng.uniform(0.0, 2.0, size=(12, 12))
+            values[np.diag_indices(12)] = 0.0
+            spec = mk.MatrixMetric(mk.DistanceMatrix(values))
+            probes = [int(k) for k in rng.integers(0, 12, size=50)]
+            for p, q in rng.integers(0, 12, size=(10, 2)).tolist():
+                r = values[p, q] + float(rng.uniform(0.05, 1.0))
+                t = float(rng.uniform(0.05, 1.0)) * (r - values[p, q])
+                got = nesting_outcome(spec, p, r, q, t, probes)
+                assert got == per_probe_nesting(spec, p, r, q, t, probes)
+                falses += not got[0]
+        assert falses > 20
+        probes = list(sampling.random_points(rng, 200, low=-1.0, high=1.0))
+        for q in probes[:20]:
+            r = 3.0 * math.hypot(*q) + 1.0
+            got = nesting_outcome(OriginInflated(), (0, 0), r, q, 0.5, probes)
+            assert got == per_probe_nesting(OriginInflated(), (0, 0), r, q, 0.5, probes)
+            falses += not got[0]
+        assert falses > 30
 
     @pytest.mark.parametrize("case_index", range(10))
     def test_nesting_across_variants(self, rng, case_index):
@@ -127,8 +207,9 @@ class TestNesting:
             t = float(rng.uniform(0.05, 1.0)) * (r - dpq)
             if not 0 < t <= r - dpq:
                 continue
-            ok, witness = mk.check_nesting(spec, p, r, q, t, sample)
-            assert ok, (spec.name, witness)
+            got = nesting_outcome(spec, p, r, q, t, sample)
+            assert got == per_probe_nesting(spec, p, r, q, t, sample)
+            assert got[0], (spec.name, got)
             hits += 1
         assert hits > 0
 
@@ -186,6 +267,12 @@ class TestBallBoundary:
         ]:
             b = mk.ball_boundary(spec, center, 1.7, n=40)
             assert all(abs(dist(center, x) - 1.7) <= 1e-9 for x in b.samples)
+            # a sample off the radius, or not finite, is refused at construction
+            for k, bad in [(5, center + (b.samples[5] - center) * (1 + 1e-8)), (39, (math.nan, 0.0))]:
+                samples = b.samples.copy()
+                samples[k] = bad
+                with pytest.raises(ValueError, match="boundary sample" if k == 5 else "finite"):
+                    mk.BoundaryPolyline(spec.name, center, 1.7, samples)
 
     def test_counterclockwise_angular_order(self):
         for spec in [mk.Euclidean(), mk.Taxicab(), mk.Chebyshev()]:

@@ -37,6 +37,34 @@ def per_pair_table(spec, sample) -> np.ndarray:
     return np.array([[spec._eval(x, y) for y in pts] for x in pts], dtype=float)
 
 
+def view_tables(spec, X, Y) -> dict:
+    """Every public view of spec's formula on the pairs (X[k], Y[k]):
+    ``distance``, and the scalar and rowwise functions where they exist."""
+    pairs = list(zip(X, Y))
+    views = {"distance": [mk.distance(spec, x, y) for x, y in pairs]}
+    scalar = {
+        "euclidean": mk.euclidean_distance,
+        "taxicab": mk.taxicab_distance,
+        "chebyshev": mk.chebyshev_distance,
+        "discrete": mk.discrete_distance,
+        "realline": mk.real_line_distance,
+        "greatcircle": mk.great_circle_distance,
+        "graphpath": lambda x, y: mk.shortest_path_distance(spec.graph, x, y),
+        "polylinearc": lambda x, y: mk.polyline_arc_distance(spec.polyline, x, y),
+    }
+    rowwise = {
+        "euclidean": mk.euclidean_distances,
+        "taxicab": mk.taxicab_distances,
+        "chebyshev": mk.chebyshev_distances,
+        "greatcircle": mk.great_circle_distances,
+    }
+    if spec.name in scalar:
+        views["scalar"] = [scalar[spec.name](x, y) for x, y in pairs]
+    if spec.name in rowwise:
+        views["rowwise"] = rowwise[spec.name](np.array(X), np.array(Y))
+    return views
+
+
 def outcome(fn):
     """The table fn() returns, or the type and message of what it raises."""
     try:
@@ -84,10 +112,22 @@ class TestBatchKernel:
         assert BLOCK_PAIRS // n < n
         cases = batch_kernel_cases(rng, n)
         assert {spec.name for spec, _ in cases} == {spec.name for spec, _ in builtin_cases(rng)}
+        perm = rng.permutation(n)
         for spec, sample in cases:
             got, want = mk.pairwise_distances(spec, sample), per_pair_table(spec, sample)
             assert got.shape == want.shape == (n, n)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), spec.name
+            # the scalar and rowwise views give the kernel's bits
+            for view, values in view_tables(spec, sample, [sample[k] for k in perm]).items():
+                values = np.asarray(values, dtype=float)
+                assert np.array_equal(values.view(np.int64), want[np.arange(n), perm].view(np.int64)), (spec.name, view)
+            # a short X against the whole sample, with graph ids on both sides of X's
+            rows = [n // 2, 3]
+            if isinstance(spec, mk.GraphPath):
+                order = np.argsort(sample)
+                rows = [int(order[n // 2]), int(order[n // 4])]
+            short = spec._cross(spec.validate_many([sample[k] for k in rows]), spec.validate_many(sample))
+            assert np.array_equal(short.view(np.int64), want[rows].view(np.int64)), spec.name
 
     def test_every_builtin_spec_has_a_batch_kernel(self, rng):
         for spec, _ in builtin_cases(rng):

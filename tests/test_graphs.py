@@ -8,6 +8,26 @@ from metrikos import sampling
 from metrikos.graphs import grid_vertex
 
 
+def simple_path_lengths(g, u, v) -> list:
+    """The length of every simple path from u to v, by depth-first search."""
+    adj = {a: [] for a in range(g.vertex_count)}
+    for a, b, w in g.edges:
+        adj[a].append((b, w))
+        adj[b].append((a, w))
+    found = []
+
+    def walk(a, length, seen):
+        if a == v:
+            found.append(length)
+            return
+        for b, w in adj[a]:
+            if b not in seen:
+                walk(b, length + w, seen | {b})
+
+    walk(u, 0.0, {u})
+    return found
+
+
 class TestWeightedGraph:
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
@@ -114,14 +134,36 @@ class TestCountGeodesics:
         g = mk.WeightedGraph(4, [(0, 3, 4.0), (0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0)])
         assert mk.count_geodesics(g, 0, 3) == 2
 
+    def test_matches_path_enumeration(self, rng):
+        # small integer lengths make many ties between routes of different shapes
+        tied = 0
+        for _ in range(60):
+            n = int(rng.integers(4, 9))
+            g = sampling.random_connected_graph(rng, n, extra_edges=int(rng.integers(4, 16)))
+            g = mk.WeightedGraph(n, [(u, v, float(rng.integers(1, 3))) for u, v, _ in g.edges])
+            for u, v in rng.integers(0, n, size=(4, 2)).tolist():
+                lengths = simple_path_lengths(g, u, v)
+                assert mk.count_geodesics(g, u, v) == lengths.count(min(lengths))
+                tied += lengths.count(min(lengths)) > 1
+        assert tied >= 30
+
     def test_non_integer_lengths_refused(self):
         g = mk.WeightedGraph(2, [(0, 1, 1.5)])
         with pytest.raises(ValueError, match="integer"):
             mk.count_geodesics(g, 0, 1)
+        # path sums from 2**53 on are not exact in float64: 2**53 + 1 rounds
+        # to 2**53, which would tie the two routes from 0 to 2
+        g = mk.WeightedGraph(3, [(0, 1, 2.0**53), (1, 2, 1.0), (0, 2, 2.0**53)])
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            mk.count_geodesics(g, 0, 2)
+        edges = [(k, k + 1, 2.0**51) for k in range(4)]
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            mk.count_geodesics(mk.WeightedGraph(5, edges), 0, 1)
+        assert mk.count_geodesics(mk.WeightedGraph(5, edges[:3] + [(3, 4, 2.0**51 - 1)]), 0, 4) == 1
 
     def test_disconnected_refused(self):
         g = mk.WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        with pytest.raises(mk.UnreachableError):
+        with pytest.raises(mk.UnreachableError, match="no path joins vertices 0 and 2"):
             mk.count_geodesics(g, 0, 2)
 
 

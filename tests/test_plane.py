@@ -105,10 +105,15 @@ def test_metric_ordering_chain(rng, dim):
 def test_batch_matches_scalar(rng, dim):
     P = rng.uniform(-5, 5, size=(200, dim))
     Q = rng.uniform(-5, 5, size=(200, dim))
-    assert np.array_equal(taxicab_distances(P, Q), [taxicab_distance(p, q) for p, q in zip(P, Q)])
-    assert np.array_equal(chebyshev_distances(P, Q), [chebyshev_distance(p, q) for p, q in zip(P, Q)])
-    euc_scalar = np.array([euclidean_distance(p, q) for p, q in zip(P, Q)])
-    assert np.allclose(euclidean_distances(P, Q), euc_scalar, rtol=1e-15, atol=0)
+    P[0], Q[0] = 1e300, -1e300  # squaring overflows here; hypot does not
+    for rowwise, scalar in [
+        (taxicab_distances, taxicab_distance),
+        (chebyshev_distances, chebyshev_distance),
+        (euclidean_distances, euclidean_distance),
+    ]:
+        want = np.array([scalar(p, q) for p, q in zip(P, Q)])
+        assert np.isfinite(want).all()
+        assert np.array_equal(rowwise(P, Q).view(np.int64), want.view(np.int64)), rowwise.__name__
 
 
 def test_pythagorean_decomposition(rng):
