@@ -35,6 +35,11 @@ from .svg import ball_figure
 
 MAX_PRINTED_WITNESSES = 10
 
+# Input caps, checked before anything is built: certifying N points takes
+# O(N^3) time and O(N^2) memory, and a W x H grid holds W * H vertices.
+MAX_RANDOM_POINTS = 2048
+MAX_GRID_VERTICES = 250_000
+
 _PLAIN_METRICS = {
     "euclidean": Euclidean,
     "taxicab": Taxicab,
@@ -92,6 +97,8 @@ def _load_sample(spec: MetricSpec, args) -> list:
         _, pts = fileio.load_points(args.points)
         return pts
     if args.random:
+        if not 0 < args.random <= MAX_RANDOM_POINTS:
+            raise ValueError(f"--random takes 1 to {MAX_RANDOM_POINTS} points, got {args.random}")
         rng = np.random.default_rng(args.seed)
         return sampling.sample_for(spec, rng, args.random, dim=args.dim)
     raise ValueError("no sample given: use --points FILE or --random N")
@@ -184,6 +191,8 @@ def cmd_isometry(args) -> int:
 def cmd_grid(args) -> int:
     from .graphs import count_geodesics, grid_graph, grid_vertex, shortest_path_distance
 
+    if min(args.width, args.height) > 0 and args.width * args.height > MAX_GRID_VERTICES:
+        raise ValueError(f"a {args.width}x{args.height} grid is past the cap of {MAX_GRID_VERTICES} vertices")
     g = grid_graph(args.width, args.height)
 
     def lattice_vertex(text: str) -> int:
@@ -216,7 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_sample_source(p):
         p.add_argument("--points", help="point-set JSON file")
-        p.add_argument("--random", type=int, metavar="N", help="certify N seeded random carrier points")
+        p.add_argument(
+            "--random", type=int, metavar="N", help=f"certify N seeded random carrier points, N <= {MAX_RANDOM_POINTS}"
+        )
         p.add_argument("--seed", type=int, default=0, help="RNG seed for --random (default 0)")
         p.add_argument("--dim", type=int, default=2, help="dimension for random coordinate points (default 2)")
 
@@ -254,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_isometry)
 
     p = sub.add_parser("grid", help="street-grid distance and minimal-path count")
-    p.add_argument("width", type=int)
-    p.add_argument("height", type=int)
+    p.add_argument("width", type=int, help=f"grid width; width * height <= {MAX_GRID_VERTICES}")
+    p.add_argument("height", type=int, help="grid height")
     p.add_argument("--from", dest="src", required=True, metavar="I,J", help="source lattice point")
     p.add_argument("--to", dest="dst", required=True, metavar="I,J", help="target lattice point")
     p.set_defaults(fn=cmd_grid)

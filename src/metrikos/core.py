@@ -67,8 +67,11 @@ class ToleranceConfig:
     rel_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        # a NaN slack fails every compare, so it would pass any input, and an
+        # infinite abs_tol would flag every distinct pair as too close
+        for name in ("abs_tol", "rel_tol"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {getattr(self, name)!r}")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -468,8 +471,11 @@ def verify_axioms(spec: MetricSpec, sample: Sequence, tol: ToleranceConfig = DEF
     which evaluates all n^2 ordered pairs in row blocks of about BLOCK_PAIRS
     pairs, so it adds O(BLOCK_PAIRS * d) memory for d coordinates, not
     O(n^2 * d), and no Python call per pair for the coordinate metrics. The
-    triangle check then takes O(n^3) time and O(n^2) memory, one n x n slab
-    per x, and is most of the time once n reaches a few hundred.
+    triangle check then takes O(n^3) time and O(n^2) memory, one slab of at
+    most n x n per x, and is most of the time once n reaches a few hundred.
+    When the table is symmetric bit for bit, as every built-in kernel's is,
+    it scans only the triples with z >= x, about n^3 / 2, and mirrors the
+    rest; a MatrixMetric whose table is not scans all n^3.
     """
     pts = _canonical_sample(spec, sample)
     D = spec._cross(pts, pts)
@@ -513,27 +519,66 @@ def verify_axioms(spec: MetricSpec, sample: Sequence, tol: ToleranceConfig = DEF
 
 def _triangle_witnesses(D: np.ndarray, A: np.ndarray, tol: ToleranceConfig) -> list[Witness]:
     """The first MAX_WITNESSES_PER_AXIOM triples (x, y, z), in lexicographic
-    order, with d(x,z) > d(x,y) + d(y,z) + slack.
+    order, with L > fl(r + slack), where L = d(x,z), r = fl(d(x,y) + d(y,z))
+    and slack = abs_tol + rel_tol * max(|L|, |d(x,y)|, |d(y,z)|).
 
-    One n x n slab per x: rhs[y, z] = d(x,y) + d(y,z). The slack is built only
-    where d(x,z) > rhs already, which loses nothing: the slack is >= 0 (or
-    NaN, which fails both comparisons) and rounding is monotone, so
-    rhs + slack >= rhs.
+    One slab per x: rhs[y, z] = r for every y and for z from lo to n - 1.
+
+    Mirror: when D equals D.T bit for bit, lo = x; otherwise lo = 0. The
+    triple (z, y, x) compares d(z,x) = L with fl(d(z,y) + d(y,x)) = r, since
+    float addition commutes exactly, under a slack built from the same three
+    magnitudes. So (x, y, z) is a witness exactly when (z, y, x) is, with the
+    same lhs and rhs floats, and z >= x covers every triple. Row x's witnesses
+    are its own hits and the mirrors of hits (z, y, x) found at rows z < x;
+    sorting the two by (y, z) keeps the report in lexicographic order. A
+    mirror is kept only for a hit that was itself reported, so the mirrors
+    held for later rows never number more than MAX_WITNESSES_PER_AXIOM.
+    Mirrored cells that are equal but not the same bits, -0.0 against 0.0 or
+    two NaN payloads, would report other floats than a scan of (z, y, x), so
+    they count as asymmetric and the table gets the full scan.
+
+    Threshold: a witness has r < t, where t = min(L, nextafter(fl(L -
+    abs_tol), +inf)), so the slack is built only where a column's least r is
+    below t. Proof: slack >= abs_tol (or NaN, which fails every compare), and
+    rounding is monotone, so a witness has L > fl(r + slack) >= fl(r +
+    abs_tol). If r >= t = L, then fl(r + abs_tol) >= r >= L. If r >= t =
+    nextafter(fl(L - abs_tol)), then r >= L - abs_tol in the reals, since the
+    float after the rounding of a real is at least that real, so fl(r +
+    abs_tol) >= fl(L) = L. Either way (x, y, z) is no witness. The threshold
+    drops every triple with r == L, such as taxicab's bit-tight ones. A NaN
+    rhs fails the compare and NaN lhs gives a NaN t, as neither can witness.
     """
     n = D.shape[0]
-    rhs = np.empty((n, n))
-    cand = np.empty((n, n), dtype=bool)
+    bits = D.view(np.int64)
+    symmetric = np.array_equal(bits, bits.T)
+    buf = np.empty(n * n)
+    mirrors: dict[int, list[Witness]] = {}  # row z -> witnesses (z, y, x) found at row x < z
     found: list[Witness] = []
     for x in range(n):
-        np.add(D[x, :, None], D, out=rhs)
-        np.greater(D[x], rhs, out=cand)
-        if not cand.any():
+        lo = x if symmetric else 0
+        L = D[x, lo:]
+        rhs = buf[: n * len(L)].reshape(n, len(L))  # contiguous: a strided slab is slower
+        np.add(D[x, :, None], D[:, lo:], out=rhs)
+        t = np.minimum(L, np.nextafter(L - tol.abs_tol, np.inf))
+        row = mirrors.pop(x, [])
+        cols = np.flatnonzero(np.fmin.reduce(rhs, axis=0) < t)  # fmin skips NaN
+        if cols.size:
+            ys, k = np.nonzero(rhs[:, cols] < t[cols])  # in (y, z) order
+            zs = cols[k]
+            lhs, r = L[zs], rhs[ys, zs]
+            zs += lo
+            slack = tol.abs_tol + tol.rel_tol * np.maximum(A[x, zs], np.maximum(A[x, ys], A[ys, zs]))
+            hits = np.flatnonzero(lhs > r + slack)[: MAX_WITNESSES_PER_AXIOM - len(found)]
+            row += [Witness("triangle", (x, int(ys[h]), int(zs[h])), float(lhs[h]), float(r[h])) for h in hits]
+        if not row:
             continue
-        ys, zs = np.nonzero(cand)
-        lhs, r = D[x, zs], rhs[ys, zs]
-        slack = tol.abs_tol + tol.rel_tol * np.maximum(A[x, zs], np.maximum(A[x, ys], A[ys, zs]))
-        for k in np.flatnonzero(lhs > r + slack)[: MAX_WITNESSES_PER_AXIOM - len(found)]:
-            found.append(Witness("triangle", (x, int(ys[k]), int(zs[k])), float(lhs[k]), float(r[k])))
+        row.sort(key=lambda w: w.indices)
+        found += row[: MAX_WITNESSES_PER_AXIOM - len(found)]
         if len(found) >= MAX_WITNESSES_PER_AXIOM:
             break
+        if symmetric:
+            for w in row:
+                _, y, z = w.indices
+                if z > x:
+                    mirrors.setdefault(z, []).append(w._replace(indices=(z, y, x)))
     return found

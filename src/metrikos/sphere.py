@@ -212,6 +212,9 @@ def circular_projections(c: Circle2D, P) -> np.ndarray:
     Pa = np.asarray(P, dtype=float)
     if Pa.ndim != 2 or Pa.shape[1] != 2:
         raise ValueError(f"expected an (n, 2) array, got shape {Pa.shape}")
+    finite = np.isfinite(Pa).all(1)
+    if not finite.all():
+        as_point(Pa[np.argmin(finite)])  # raises as circular_projection does
     V = Pa - c.center
     norms = hypot_rows(V)
     if np.any(norms == 0.0):

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import metrikos as mk
-from metrikos import fileio, sampling
+from metrikos import cli, fileio, sampling
 
 
 def run_cli(*args, cwd=None):
@@ -90,6 +90,26 @@ class TestCheck:
         second = run_cli(*args)
         assert first.returncode == 0
         assert first.stdout == second.stdout
+
+    def test_non_finite_tolerances_are_usage_errors(self, tmp_path):
+        # under a NaN slack every compare fails, so this matrix used to pass
+        f = tmp_path / "bad.csv"
+        f.write_text("0,1,5\n1,0,1\n5,1,0\n")
+        for flag in ("--abs-tol", "--rel-tol"):
+            for value in ("nan", "inf"):
+                res = run_cli("check", "--matrix", str(f), flag, value)
+                assert res.returncode == 2, (flag, value)
+                assert res.stdout == b"" and res.stderr.startswith(b"error: "), (flag, value)
+
+    def test_random_out_of_range_is_refused_before_sampling(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled out of range")
+
+        monkeypatch.setattr(sampling, "sample_for", refuse)
+        for n in (cli.MAX_RANDOM_POINTS + 1, 10**12, -5):
+            assert cli.main(["check", "--metric", "euclidean", "--random", str(n)]) == 2
+            assert f"1 to {cli.MAX_RANDOM_POINTS} points, got {n}" in capsys.readouterr().err
+        assert f"N <= {cli.MAX_RANDOM_POINTS}" in run_cli("check", "--help").stdout.decode()
 
     def test_no_sample_is_usage_error(self):
         res = run_cli("check", "--metric", "euclidean")
@@ -211,3 +231,17 @@ class TestGrid:
     def test_out_of_range_vertex(self):
         res = run_cli("grid", "3", "3", "--from", "0,0", "--to", "5,5")
         assert res.returncode == 2
+
+    def test_past_the_cap_is_refused_before_building(self, monkeypatch, capsys):
+        from metrikos import graphs
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a grid past the cap")
+
+        monkeypatch.setattr(graphs, "grid_graph", refuse)
+        for w, h in ((100_000, 100_000), (1, cli.MAX_GRID_VERTICES + 1)):
+            assert cli.main(["grid", str(w), str(h), "--from", "0,0", "--to", "0,0"]) == 2
+            assert f"cap of {cli.MAX_GRID_VERTICES} vertices" in capsys.readouterr().err
+        res = run_cli("grid", "100000", "100000", "--from", "0,0", "--to", "1,1")
+        assert res.returncode == 2 and res.stderr.startswith(b"error: ")
+        assert f"width * height <= {cli.MAX_GRID_VERTICES}" in run_cli("grid", "--help").stdout.decode()

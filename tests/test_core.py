@@ -3,10 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import metrikos as mk
 from metrikos import sampling
-from metrikos.core import BLOCK_PAIRS, MAX_WITNESSES_PER_AXIOM
+from metrikos.core import BLOCK_PAIRS, MAX_WITNESSES_PER_AXIOM, _triangle_witnesses
 
 from _support import builtin_cases
 
@@ -29,6 +30,66 @@ def brute_force_triangle_witnesses(D, tol) -> list:
                 if lhs > rhs + slack:
                     found.append(mk.Witness("triangle", (x, y, z), float(lhs), float(rhs)))
     return found
+
+
+TOLERANCES = (mk.ToleranceConfig(), mk.ToleranceConfig(0.0, 0.0), mk.ToleranceConfig(1e-3, 1e-6))
+# offsets just past and just within the default slack and the 1e-3 one, and one ulp
+NUDGES = (2e-9, 5e-10, -2e-9, 2e-3, 5e-4, "ulp")
+SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def triangle_tables(draw):
+    """(D, tol): a taxicab table on a small lattice, so collinear triples are
+    bit-tight and duplicate points give zeros, or free entries, symmetric or
+    not; then a few cells nudged or set to a special value, in one cell or in
+    both mirrored cells."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 3))
+        step = draw(st.sampled_from([1.0, 0.1, 0.3]))
+        coords = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+        P = np.array(draw(st.lists(coords, min_size=n, max_size=n)), dtype=float) * step
+        D = mk.pairwise_distances(mk.Taxicab(), list(P))
+    else:
+        cells = st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]), min_size=n * n, max_size=n * n)
+        D = np.array(draw(cells)).reshape(n, n)
+        if draw(st.booleans()):
+            D = np.triu(D) + np.triu(D, 1).T
+    if draw(st.sampled_from([False, False, True])):  # zeros that equal their mirror but differ in sign
+        D[np.tril(D == 0, -1)] = -0.0
+    both = st.sampled_from([True, True, True, False])  # mostly, so that many tables stay symmetric
+    edits = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(NUDGES + SPECIALS), both)
+    for i, j, change, mirrored in draw(st.lists(edits, max_size=6)):
+        if change == "ulp":
+            value = np.nextafter(D[i, j], math.inf)
+        elif change in NUDGES:
+            value = D[i, j] + change
+        else:
+            value = change
+        D[i, j] = value
+        if mirrored:
+            D[j, i] = value
+    return D, draw(st.sampled_from(TOLERANCES))
+
+
+def signed_zero_table() -> np.ndarray:
+    """(0, 1, 2) and (2, 1, 0) are witnesses whose rhs are 0.0 and -0.0: the
+    zeros below the diagonal are -0.0, so D equals D.T but not bit for bit."""
+    return np.array([[0.0, 0.0, 5.0], [-0.0, 0.0, 0.0], [5.0, -0.0, 0.0]])
+
+
+def tie_table() -> tuple:
+    """A witness (0, 1, 2) with rhs == fl(lhs - abs_tol): lhs is 1 + 2**-52
+    and rhs is 1, and under abs_tol = 2**-53 both fl(lhs - abs_tol) and
+    fl(rhs + abs_tol) are ties that round to even, so rhs + slack rounds
+    below lhs."""
+    D = np.array([[0.0, 1.0, 1.0 + 2.0**-52], [1.0, 0.0, 0.0], [1.0 + 2.0**-52, 0.0, 0.0]])
+    return D, mk.ToleranceConfig(2.0**-53, 0.0)
+
+
+def hexed(witnesses) -> list:
+    return [(w.axiom, w.indices, float(w.lhs).hex(), float(w.rhs).hex()) for w in witnesses]
 
 
 def per_pair_table(spec, sample) -> np.ndarray:
@@ -206,6 +267,13 @@ class TestSymmetryIsExact:
             a, b = sample[int(i)], sample[int(j)]
             assert mk.distance(spec, a, b) == mk.distance(spec, b, a)
 
+    def test_builtin_tables_are_symmetric_bit_for_bit(self, rng):
+        # so verify_axioms scans only the triples with z >= x on them
+        cases = builtin_cases(rng, n=40) + [c for c in batch_kernel_cases(rng, 40) if c[0].name != "matrix"]
+        for spec, sample in cases:
+            bits = mk.pairwise_distances(spec, sample).view(np.int64)
+            assert np.array_equal(bits, bits.T), spec.name
+
 
 class TestVerifyAxioms:
     def test_three_point_euclidean_sample(self):
@@ -323,6 +391,39 @@ class TestVerifyAxioms:
             assert report.for_axiom("triangle") == reference[:MAX_WITNESSES_PER_AXIOM]
 
 
+class TestTrianglePass:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=triangle_tables())
+    @example(case=(signed_zero_table(), mk.ToleranceConfig()))
+    @example(case=tie_table())
+    def test_matches_brute_force(self, case):
+        D, tol = case
+        with np.errstate(all="ignore"):  # inf - inf and 0 * inf are NaN here
+            got = _triangle_witnesses(D, np.abs(D), tol)
+            want = brute_force_triangle_witnesses(D, tol)[:MAX_WITNESSES_PER_AXIOM]
+        assert hexed(got) == hexed(want)
+
+    def test_cap_with_mirrored_witnesses(self):
+        # a line whose pairs 2, 3 and 4 apart are stretched: row x has its
+        # own witnesses (x, x+1, x+2), ... and the mirrors (x, x-1, x-2), ...
+        # of earlier rows' witnesses, which the pass finds only at those rows
+        i, j = np.indices((60, 60))
+        D = np.abs(i - j).astype(float)
+        for gap, stretch in ((2, 1.0), (3, 1.5), (4, 2.0)):
+            D[np.abs(i - j) == gap] += stretch
+        assert np.array_equal(D, D.T)
+        reference = brute_force_triangle_witnesses(D, mk.ToleranceConfig())
+        assert len(reference) > 2 * MAX_WITNESSES_PER_AXIOM
+        got = _triangle_witnesses(D, np.abs(D), mk.ToleranceConfig())
+        assert hexed(got) == hexed(reference[:MAX_WITNESSES_PER_AXIOM])
+        mirrored = [w for w in got if w.indices[2] < w.indices[0]]
+        assert len(mirrored) >= 0.4 * MAX_WITNESSES_PER_AXIOM  # each one mirrors an earlier own hit
+        # the cap falls inside a row, after its mirrored witnesses
+        x = got[-1].indices[0]
+        assert any(w.indices[0] == x and w.indices[2] < x for w in got)
+        assert any(w.indices[0] == x for w in reference[MAX_WITNESSES_PER_AXIOM:])
+
+
 class TestRestrict:
     def test_agrees_with_base(self):
         sub = mk.restrict(mk.Euclidean(), [(0, 0), (1, 0)])
@@ -391,3 +492,10 @@ class TestToleranceConfig:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             mk.ToleranceConfig(abs_tol=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN slack passes every triple, an infinite abs_tol flags every pair
+        for field in ("abs_tol", "rel_tol"):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                mk.ToleranceConfig(**{field: bad})

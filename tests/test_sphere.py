@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,19 @@ class TestCircularProjection:
     def test_center_rejected(self):
         with pytest.raises(ValueError, match="undefined"):
             mk.circular_projection(mk.Circle2D((1, 1), 2.0), (1, 1))
+
+    def test_non_finite_rows_rejected_like_the_scalar_form(self):
+        c = mk.Circle2D((0.0, 0.0), 1.0)
+        for bad in ((math.nan, 1.0), (2.0, math.inf), (-math.inf, -math.inf)):
+            with pytest.raises(ValueError, match="must be finite") as scalar:
+                mk.circular_projection(c, bad)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # and no numpy warning on the way
+                with pytest.raises(ValueError, match="must be finite") as batch:
+                    mk.circular_projections(c, [(2.0, 0.0), bad, (0.0, 3.0)])
+            assert str(batch.value) == str(scalar.value)
+        with pytest.raises(ValueError, match="expected an"):
+            mk.circular_projections(c, [(math.nan, 1.0, 2.0)])
 
     def test_fixes_circle_points(self, rng):
         c = mk.Circle2D((0.5, -1.5), 2.5)
