@@ -18,6 +18,7 @@ from .core import Chebyshev, Euclidean, MetricSpec, Taxicab, distance
 from .points import as_point, as_points
 
 BOUNDARY_TOL = 1e-9
+MIN_BOUNDARY_SAMPLES = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,15 +136,18 @@ def ball_boundary(metric: MetricSpec, center, radius: float, n: int = 256) -> Bo
     Supported metrics and their shapes: Euclidean (circle, parameterized by
     angle), Taxicab (diamond through center +- (r, 0) and (0, r)), Chebyshev
     (square with corners center + (+-r, +-r)). Samples run counterclockwise
-    and include the polygon vertices exactly; n >= 8.
+    and include the polygon vertices exactly; n >= 8, and the radius is
+    positive and finite.
     """
     c = as_point(center, dim=2)
     radius = float(radius)
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
+    if radius == math.inf:  # inf * 0 would give NaN samples
+        raise ValueError(f"radius must be finite, got {radius}")
     n = int(n)
-    if n < 8:
-        raise ValueError(f"need at least 8 boundary samples, got {n}")
+    if n < MIN_BOUNDARY_SAMPLES:
+        raise ValueError(f"need at least {MIN_BOUNDARY_SAMPLES} boundary samples, got {n}")
 
     if isinstance(metric, Euclidean):
         theta = 2.0 * math.pi * np.arange(n) / n

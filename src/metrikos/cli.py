@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import fileio, sampling
-from .balls import ball_boundary
+from .balls import MIN_BOUNDARY_SAMPLES, ball_boundary
 from .core import (
     AxiomReport,
     Chebyshev,
@@ -36,9 +36,12 @@ from .svg import ball_figure
 MAX_PRINTED_WITNESSES = 10
 
 # Input caps, checked before anything is built: certifying N points takes
-# O(N^3) time and O(N^2) memory, and a W x H grid holds W * H vertices.
+# O(N^3) time and O(N^2) memory, a W x H grid holds W * H vertices, random
+# points hold --dim coordinates each, and a ball boundary --samples points.
 MAX_RANDOM_POINTS = 2048
 MAX_GRID_VERTICES = 250_000
+MAX_DIM = 256
+MAX_BOUNDARY_SAMPLES = 100_000
 
 _PLAIN_METRICS = {
     "euclidean": Euclidean,
@@ -99,6 +102,8 @@ def _load_sample(spec: MetricSpec, args) -> list:
     if args.random:
         if not 0 < args.random <= MAX_RANDOM_POINTS:
             raise ValueError(f"--random takes 1 to {MAX_RANDOM_POINTS} points, got {args.random}")
+        if not 0 < args.dim <= MAX_DIM:
+            raise ValueError(f"--dim takes 1 to {MAX_DIM} coordinates, got {args.dim}")
         rng = np.random.default_rng(args.seed)
         return sampling.sample_for(spec, rng, args.random, dim=args.dim)
     raise ValueError("no sample given: use --points FILE or --random N")
@@ -163,6 +168,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_ball_svg(args) -> int:
+    if not MIN_BOUNDARY_SAMPLES <= args.samples <= MAX_BOUNDARY_SAMPLES:
+        raise ValueError(
+            f"--samples takes {MIN_BOUNDARY_SAMPLES} to {MAX_BOUNDARY_SAMPLES} boundary samples, got {args.samples}"
+        )
     spec = _resolve_metric(args)
     center = [float(c) for c in args.center.split(",")]
     boundary = ball_boundary(spec, center, args.radius, n=args.samples)
@@ -229,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--random", type=int, metavar="N", help=f"certify N seeded random carrier points, N <= {MAX_RANDOM_POINTS}"
         )
         p.add_argument("--seed", type=int, default=0, help="RNG seed for --random (default 0)")
-        p.add_argument("--dim", type=int, default=2, help="dimension for random coordinate points (default 2)")
+        p.add_argument(
+            "--dim", type=int, default=2, help=f"dimension for random coordinate points, 1 to {MAX_DIM} (default 2)"
+        )
 
     p = sub.add_parser("dist", help="print the distance between two points")
     p.add_argument("--metric", help="metric tag (euclidean, taxicab, chebyshev, discrete, realline, greatcircle, graphpath)")
@@ -251,7 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", required=True, help="euclidean, taxicab, or chebyshev")
     p.add_argument("--center", default="0,0", help="ball center X,Y (default 0,0)")
     p.add_argument("--radius", type=float, required=True, help="ball radius")
-    p.add_argument("--samples", type=int, default=256, help="boundary sample count (default 256)")
+    p.add_argument(
+        "--samples",
+        type=int,
+        default=256,
+        help=f"boundary sample count, {MIN_BOUNDARY_SAMPLES} to {MAX_BOUNDARY_SAMPLES} (default 256)",
+    )
     p.add_argument("--out", required=True, help="output SVG path")
     p.set_defaults(fn=cmd_ball_svg)
 

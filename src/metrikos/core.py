@@ -22,7 +22,17 @@ import numpy as np
 from . import sphere
 from .errors import CarrierError
 from .graphs import Polyline, WeightedGraph, no_path_error
-from .points import as_index, as_point, as_points, as_real, hypot_rows, point_key, same_dim
+from .points import (
+    as_index,
+    as_indices,
+    as_point,
+    as_points,
+    as_real,
+    as_reals,
+    hypot_rows,
+    point_keys,
+    same_dim,
+)
 
 # Certification keeps at most this many witnesses per axiom, in lexicographic
 # index order, to bound report size on badly broken inputs.
@@ -126,8 +136,9 @@ class MetricSpec:
 
         Item k equals ``validate_point(points[k])`` bitwise, and a sequence
         holding a point that ``validate_point`` rejects raises the exception
-        type it raises. Carriers override this with one array conversion in
-        place of n calls.
+        type it raises. This default is the per-point loop; every built-in
+        spec overrides it with a batch validator from ``points`` that checks
+        the whole sequence in one pass.
         """
         return [self.validate_point(x) for x in points]
 
@@ -240,6 +251,9 @@ class RealLine(MetricSpec):
     def validate_point(self, x):
         return as_real(x)
 
+    def validate_many(self, points):
+        return as_reals(points)
+
     def _eval(self, x, y):
         return abs(x - y)
 
@@ -280,6 +294,9 @@ class GraphPath(MetricSpec):
 
     def validate_point(self, x):
         return self.graph.check_vertex(x)
+
+    def validate_many(self, points):
+        return as_indices(points, self.graph.vertex_count, "vertex id")
 
     def _eval(self, x, y):
         source, target = (x, y) if x <= y else (y, x)
@@ -328,6 +345,9 @@ class PolylineArc(MetricSpec):
     def validate_point(self, x):
         return self.polyline.check_index(x)
 
+    def validate_many(self, points):
+        return as_indices(points, len(self.polyline), "vertex index")
+
     def _eval(self, x, y):
         cum = self.polyline.cumulative
         return abs(cum[y] - cum[x])
@@ -350,9 +370,8 @@ class Subspace(MetricSpec):
 
     def validate_many(self, points):
         rows = self.base.validate_many(points)
-        for cx in rows:
-            if point_key(cx) not in self.allowed:
-                raise CarrierError("point is outside the restricted subspace")
+        if not self.allowed.issuperset(point_keys(rows)):
+            raise CarrierError("point is outside the restricted subspace")
         return rows
 
     def _eval(self, x, y):
@@ -376,6 +395,9 @@ class MatrixMetric(MetricSpec):
     def validate_point(self, x):
         return as_index(x, self.matrix.n)
 
+    def validate_many(self, points):
+        return as_indices(points, self.matrix.n)
+
     def _eval(self, x, y):
         return float(self.matrix.values[x, y])
 
@@ -392,7 +414,7 @@ def restrict(spec: MetricSpec, allowed: Sequence) -> Subspace:
     pts = list(allowed)
     if not pts:
         raise ValueError("allowed set must be nonempty")
-    keys = frozenset(point_key(spec.validate_point(p)) for p in pts)
+    keys = frozenset(point_keys(spec.validate_many(pts)))
     return Subspace(base=spec, allowed=keys)
 
 
@@ -499,7 +521,7 @@ def verify_axioms(spec: MetricSpec, sample: Sequence, tol: ToleranceConfig = DEF
 
     # one class id per distinct point, so sameness is one n x n compare
     ids: dict = {}
-    cls = np.array([ids.setdefault(point_key(p), len(ids)) for p in pts])
+    cls = np.array([ids.setdefault(key, len(ids)) for key in point_keys(pts)])
     ident = np.where(cls[:, None] == cls[None, :], D > tol.abs_tol, D <= tol.abs_tol)
     identity_ok = not ident.any()
     if not identity_ok:

@@ -50,7 +50,7 @@ def load_graph(path) -> WeightedGraph:
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise ValueError(f"{path}: expected an object with 'vertices' and 'edges'")
     edges = [tuple(e) for e in data["edges"]]
-    return WeightedGraph(int(data["vertices"]), edges, coords=data.get("coords"))
+    return WeightedGraph(data["vertices"], edges, coords=data.get("coords"))
 
 
 def load_matrix_csv(path) -> DistanceMatrix:

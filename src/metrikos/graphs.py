@@ -11,26 +11,29 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import UnreachableError
-from .points import as_index, as_point, hypot_rows
+from .points import as_index, as_integer, as_point, as_points, hypot_rows
 
 
 class WeightedGraph:
     """Undirected graph with strictly positive edge lengths.
 
     Edges are (u, v, length) triples over vertex ids 0..vertex_count-1; loops,
-    nonpositive lengths, and duplicate undirected edges are rejected.
-    ``coords`` optionally embeds each vertex in the plane (used by grids).
+    nonpositive lengths, and duplicate undirected edges are rejected. The
+    vertex count and the ids are integers, checked as ``as_integer`` checks
+    them, so no id is silently truncated. ``coords`` optionally embeds each
+    vertex in the plane (used by grids), one point per vertex.
     Shortest-path results are memoized per source; the graph must not be
     mutated after construction.
     """
 
     def __init__(self, vertex_count: int, edges: Sequence[tuple], coords=None):
-        vertex_count = int(vertex_count)
+        vertex_count = as_integer(vertex_count, "vertex_count")
         if vertex_count <= 0:
             raise ValueError(f"vertex_count must be positive, got {vertex_count}")
         self.vertex_count = vertex_count
@@ -38,7 +41,8 @@ class WeightedGraph:
         cleaned = []
         for e in edges:
             u, v, length = e
-            u, v = int(u), int(v)
+            if not (type(u) is int and type(v) is int):
+                u, v = (as_integer(w, f"vertex id in edge {e}") for w in (u, v))
             length = float(length)
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge {e} references a vertex outside 0..{vertex_count - 1}")
@@ -58,11 +62,19 @@ class WeightedGraph:
             adj[v].append((u, length))
         self._adj = tuple(tuple(nbrs) for nbrs in adj)
         if coords is not None:
-            coords = [as_point(c) for c in coords]
+            coords = as_points(coords)
             if len(coords) != vertex_count:
                 raise ValueError("coords must list one point per vertex")
         self.coords = coords
         self._sssp_cache: dict[int, np.ndarray] = {}
+
+    @cached_property
+    def _integer_length_total(self) -> int | None:
+        """The sum of the edge lengths when every one is an integer, else
+        None; computed once, since the graph is not mutated."""
+        if not all(length.is_integer() for _, _, length in self.edges):
+            return None
+        return sum(int(length) for _, _, length in self.edges)
 
     def check_vertex(self, u) -> int:
         return as_index(u, self.vertex_count, "vertex id")
@@ -140,7 +152,7 @@ def grid_graph(width: int, height: int) -> WeightedGraph:
                 edges.append((vid(i, j), vid(i + 1, j), 1))
             if j + 1 < height:
                 edges.append((vid(i, j), vid(i, j + 1), 1))
-    coords = [(float(i), float(j)) for j in range(height) for i in range(width)]
+    coords = np.column_stack([np.tile(np.arange(width), height), np.repeat(np.arange(height), width)])
     return WeightedGraph(width * height, edges, coords=coords)
 
 
@@ -165,11 +177,10 @@ def count_geodesics(g: WeightedGraph, u, v) -> int:
     d(u, a) + w(a, b) == d(u, b).
     """
     u, v = g.check_vertex(u), g.check_vertex(v)
-    total = 0
-    for _, _, length in g.edges:
-        if not length.is_integer():
-            raise ValueError(f"geodesic counting requires integer edge lengths, got {length}")
-        total += int(length)
+    total = g._integer_length_total
+    if total is None:
+        length = next(length for _, _, length in g.edges if not length.is_integer())
+        raise ValueError(f"geodesic counting requires integer edge lengths, got {length}")
     if total >= 2**53:
         raise ValueError(
             f"geodesic counting requires a total edge length below 2**53, got {total}: "

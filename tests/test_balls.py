@@ -287,5 +287,8 @@ class TestBallBoundary:
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="positive"):
             mk.ball_boundary(mk.Euclidean(), (0, 0), -1.0)
+        for spec in (mk.Euclidean(), mk.Taxicab(), mk.Chebyshev()):
+            with pytest.raises(ValueError, match="radius must be finite, got inf"):
+                mk.ball_boundary(spec, (0, 0), math.inf)
         with pytest.raises(ValueError, match="at least 8"):
             mk.ball_boundary(mk.Euclidean(), (0, 0), 1.0, n=4)

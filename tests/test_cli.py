@@ -46,6 +46,15 @@ class TestDist:
         assert res.returncode == 0
         assert res.stdout == b"3.5\n"
 
+    def test_graph_file_with_a_fractional_vertex_id_is_usage_error(self, tmp_path):
+        # int() once read the edge [0, 1.5, 1.0] as (0, 1), and printed 2
+        gfile = tmp_path / "g.json"
+        for vertices, edges in ((3, [[0, 1.5, 1.0], [1, 2, 1.0]]), (2.7, [[0, 1, 1.0]]), (3, [[0, 1, 1.0], [True, 2, 1.0]])):
+            gfile.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+            res = run_cli("dist", "--metric", "graphpath", "--graph", str(gfile), "-p", "0", "-q", "2")
+            assert res.returncode == 2, (vertices, edges)
+            assert res.stdout == b"" and b"must be an integer" in res.stderr, (vertices, edges)
+
     def test_unknown_metric_is_usage_error(self):
         res = run_cli("dist", "--metric", "hyperbolic", "-p", "0,0", "-q", "1,1")
         assert res.returncode == 2
@@ -111,6 +120,19 @@ class TestCheck:
             assert f"1 to {cli.MAX_RANDOM_POINTS} points, got {n}" in capsys.readouterr().err
         assert f"N <= {cli.MAX_RANDOM_POINTS}" in run_cli("check", "--help").stdout.decode()
 
+    def test_dim_out_of_range_is_refused_before_sampling(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled out of range")
+
+        monkeypatch.setattr(sampling, "sample_for", refuse)
+        swap = '{"map": "swap_axes"}'
+        for command in (["check"], ["isometry", "--map", swap]):
+            for dim in (0, -2, cli.MAX_DIM + 1):
+                argv = command + ["--metric", "euclidean", "--random", "4", "--dim", str(dim)]
+                assert cli.main(argv) == 2, argv
+                assert capsys.readouterr().err == f"error: --dim takes 1 to {cli.MAX_DIM} coordinates, got {dim}\n"
+            assert f"1 to {cli.MAX_DIM}" in run_cli(command[0], "--help").stdout.decode()
+
     def test_no_sample_is_usage_error(self):
         res = run_cli("check", "--metric", "euclidean")
         assert res.returncode == 2
@@ -162,6 +184,27 @@ class TestBallSvg:
     def test_unsupported_shape_is_usage_error(self, tmp_path):
         res = run_cli("ball-svg", "--metric", "discrete", "--radius", "1", "--out", str(tmp_path / "x.svg"))
         assert res.returncode == 2
+
+    def test_infinite_radius_is_refused_without_a_warning(self, tmp_path):
+        out = tmp_path / "x.svg"
+        for radius in ("inf", "-inf", "nan"):
+            res = run_cli("ball-svg", "--metric", "euclidean", f"--radius={radius}", "--out", str(out))
+            assert res.returncode == 2, radius
+            want = "finite" if radius == "inf" else "positive"
+            assert res.stderr == f"error: radius must be {want}, got {float(radius)}\n".encode(), radius
+        assert not out.exists()
+
+    def test_samples_out_of_range_are_refused_before_tracing(self, monkeypatch, capsys, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("traced a boundary out of range")
+
+        monkeypatch.setattr(cli, "ball_boundary", refuse)
+        lo, hi = cli.MIN_BOUNDARY_SAMPLES, cli.MAX_BOUNDARY_SAMPLES
+        for n in (0, -3, lo - 1, hi + 1):
+            argv = ["ball-svg", "--metric", "euclidean", "--radius", "1", "--samples", str(n), "--out", str(tmp_path / "x.svg")]
+            assert cli.main(argv) == 2, n
+            assert capsys.readouterr().err == f"error: --samples takes {lo} to {hi} boundary samples, got {n}\n"
+        assert f"{lo} to {hi}" in run_cli("ball-svg", "--help").stdout.decode()
 
 
 class TestIsometry:

@@ -50,6 +50,20 @@ class TestWeightedGraph:
             with pytest.raises(mk.CarrierError):
                 g.check_vertex(bad)
 
+    def test_edge_ids_and_vertex_count_are_not_truncated(self):
+        # int() would read these as the edges (0, 1) and (1, 2) of 3 or 2 vertices
+        for edges in ([(0, 1.5, 1.0)], [(True, 2, 2.0)], [(0, np.bool_(True), 1.0)], [(math.nan, 1, 1.0)], [("0", 1, 1.0)]):
+            with pytest.raises(mk.CarrierError, match="vertex id in edge .* must be an integer"):
+                mk.WeightedGraph(3, edges)
+        for count in (2.7, True, math.inf, math.nan, "3"):
+            with pytest.raises(mk.CarrierError, match="vertex_count must be an integer"):
+                mk.WeightedGraph(count, [(0, 1, 1.0)])
+        with pytest.raises(ValueError, match=r"edge \(0, 3.0, 1.0\) references a vertex outside 0..2"):
+            mk.WeightedGraph(3, [(0, 3.0, 1.0)])
+        g = mk.WeightedGraph(np.int64(3), [(np.int32(0), 1.0, 1.0), (1, np.uint8(2), 2.0)])
+        assert g.vertex_count == 3 and g.edges == ((0, 1, 1.0), (1, 2, 2.0))
+        assert all(type(x) is int for u, v, _ in g.edges for x in (u, v))
+
     def test_path_graph(self):
         g = mk.WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         assert mk.shortest_path_distance(g, 0, 2) == 2.0
@@ -149,8 +163,9 @@ class TestCountGeodesics:
 
     def test_non_integer_lengths_refused(self):
         g = mk.WeightedGraph(2, [(0, 1, 1.5)])
-        with pytest.raises(ValueError, match="integer"):
-            mk.count_geodesics(g, 0, 1)
+        for _ in range(2):  # the length check is kept with the graph, and refuses every time
+            with pytest.raises(ValueError, match="integer edge lengths, got 1.5"):
+                mk.count_geodesics(g, 0, 1)
         # path sums from 2**53 on are not exact in float64: 2**53 + 1 rounds
         # to 2**53, which would tie the two routes from 0 to 2
         g = mk.WeightedGraph(3, [(0, 1, 2.0**53), (1, 2, 1.0), (0, 2, 2.0**53)])

@@ -56,6 +56,15 @@ class TestGraphFiles:
         with pytest.raises(ValueError):
             fileio.load_graph(path)
 
+    def test_fractional_vertex_count_and_ids_rejected(self, tmp_path):
+        path = tmp_path / "g.json"
+        for vertices, edges in ((2.7, [[0, 1, 1.0]]), (3, [[0, 1.5, 1.0]]), ("3", [[0, 1, 1.0]])):
+            path.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+            with pytest.raises(mk.CarrierError, match="must be an integer"):
+                fileio.load_graph(path)
+        path.write_text(json.dumps({"vertices": 3.0, "edges": [[0, 1.0, 1.0]]}))
+        assert fileio.load_graph(path).edges == ((0, 1, 1.0),)
+
 
 class TestMatrixCsv:
     def test_plain(self, tmp_path):
