@@ -14,8 +14,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Chebyshev, Euclidean, MetricSpec, Taxicab, distance
-from .points import as_point, as_points
+from .core import Chebyshev, Euclidean, MetricSpec, Taxicab
+from .points import as_point, as_points, finite_radius
 
 BOUNDARY_TOL = 1e-9
 MIN_BOUNDARY_SAMPLES = 8
@@ -40,8 +40,9 @@ class Ball:
 
 
 def ball_contains(b: Ball, x) -> bool:
-    """Strict membership test: distance(center, x) < radius."""
-    return distance(b.metric, b.center, x) < b.radius
+    """Strict membership test: distance(center, x) < radius. The center
+    was validated when the ball was built, so only ``x`` is checked here."""
+    return b.metric._eval(b.center, b.metric.validate_point(x)) < b.radius
 
 
 class NestingWitness(NamedTuple):
@@ -140,11 +141,7 @@ def ball_boundary(metric: MetricSpec, center, radius: float, n: int = 256) -> Bo
     positive and finite.
     """
     c = as_point(center, dim=2)
-    radius = float(radius)
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if radius == math.inf:  # inf * 0 would give NaN samples
-        raise ValueError(f"radius must be finite, got {radius}")
+    radius = finite_radius(radius)  # inf * 0 would give NaN samples
     n = int(n)
     if n < MIN_BOUNDARY_SAMPLES:
         raise ValueError(f"need at least {MIN_BOUNDARY_SAMPLES} boundary samples, got {n}")

@@ -84,8 +84,6 @@ def _resolve_metric(args) -> MetricSpec:
 def _parse_cli_point(spec: MetricSpec, text: str):
     if isinstance(spec, (GraphPath, MatrixMetric)):
         return int(text)
-    if isinstance(spec, RealLine):
-        return float(text)
     return [float(c) for c in text.split(",")]
 
 

@@ -22,17 +22,7 @@ import numpy as np
 from . import sphere
 from .errors import CarrierError
 from .graphs import Polyline, WeightedGraph, no_path_error
-from .points import (
-    as_index,
-    as_indices,
-    as_point,
-    as_points,
-    as_real,
-    as_reals,
-    hypot_rows,
-    point_keys,
-    same_dim,
-)
+from .points import as_index, as_indices, as_point, as_points, hypot_rows, point_keys, same_dim
 
 # Certification keeps at most this many witnesses per axiom, in lexicographic
 # index order, to bound report size on badly broken inputs.
@@ -55,13 +45,6 @@ def _by_row_blocks(X, Y, block) -> np.ndarray:
     for lo, hi in row_blocks(len(X), len(Y)):
         out[lo:hi] = block(X[lo:hi], Y)
     return out
-
-
-def _abs_difference(a, b) -> np.ndarray:
-    """|a[i] - b[j]| for two 1-D float arrays, with no temporary beyond the
-    table. The sign of a difference is exact, so |a - b| == |b - a|."""
-    out = np.subtract.outer(a, b)
-    return np.abs(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -163,17 +146,21 @@ class MetricSpec:
 class _Coordinates(MetricSpec):
     """Points of R^d, validated to the rows of one float64 array.
 
-    Each metric has one row kernel, ``_rows(diff)``, which maps a (..., d)
-    array of coordinate differences x - y to the (...) distances. Ragged
-    points (a list from ``validate_many``) take the per-pair loop, which
-    raises the dimension mismatch.
+    ``dim`` fixes the number of coordinates (None: any, one per sample);
+    the real line is the case ``dim = 1``, so a real number is validated as
+    a 1-coordinate point. Each metric has one row kernel, ``_rows(diff)``,
+    which maps a (..., d) array of coordinate differences x - y to the (...)
+    distances. Ragged points (a list from ``validate_many``) take the
+    per-pair loop, which raises the dimension mismatch.
     """
 
+    dim = None
+
     def validate_point(self, x):
-        return as_point(x)
+        return as_point(x, self.dim)
 
     def validate_many(self, points):
-        return as_points(points)
+        return as_points(points, self.dim)
 
     def _cross(self, X, Y):
         if not (isinstance(X, np.ndarray) and isinstance(Y, np.ndarray) and X.shape[1] == Y.shape[1]):
@@ -245,20 +232,15 @@ class Discrete(_Coordinates):
 
 
 @dataclass(frozen=True)
-class RealLine(MetricSpec):
+class RealLine(_Coordinates):
     name = "realline"
-
-    def validate_point(self, x):
-        return as_real(x)
-
-    def validate_many(self, points):
-        return as_reals(points)
+    dim = 1
 
     def _eval(self, x, y):
-        return abs(x - y)
+        return abs(x.item() - y.item())  # the one coordinate of each, as floats
 
-    def _cross(self, X, Y):
-        return _abs_difference(np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
+    def _rows(self, diff):
+        return np.abs(diff[..., 0])
 
 
 @dataclass(frozen=True)
@@ -280,33 +262,45 @@ class GreatCircle(MetricSpec):
         return _by_row_blocks(X, Y, lambda Xb, Y: sphere.arc_lengths(Xb[:, None, :], Y[None, :, :]))
 
 
+class _Indices(MetricSpec):
+    """Points are the integer indices 0..size-1 of a finite carrier (graph
+    vertices, polyline vertices, matrix rows), validated to Python ints.
+
+    ``what`` names an index in error messages.
+    """
+
+    what = "index"
+
+    @property
+    def size(self) -> int:
+        raise NotImplementedError
+
+    def validate_point(self, x):
+        return as_index(x, self.size, self.what)
+
+    def validate_many(self, points):
+        return as_indices(points, self.size, self.what)
+
+
 @dataclass(frozen=True, eq=False)
-class GraphPath(MetricSpec):
+class GraphPath(_Indices):
     """Shortest-path metric over the vertices of a weighted graph.
 
-    Each pair is read from the SSSP row of its smaller vertex id, as
-    ``shortest_path_distance`` reads it, so d(u, v) and d(v, u) are the same
-    float.
+    Each pair is read from the SSSP row of its smaller vertex id by
+    ``WeightedGraph.distance``, as ``shortest_path_distance`` reads it, so
+    d(u, v) and d(v, u) are the same float.
     """
 
     graph: WeightedGraph
     name = "graphpath"
+    what = "vertex id"
 
-    def validate_point(self, x):
-        return self.graph.check_vertex(x)
-
-    def validate_many(self, points):
-        return as_indices(points, self.graph.vertex_count, "vertex id")
+    @property
+    def size(self):
+        return self.graph.vertex_count
 
     def _eval(self, x, y):
-        source, target = (x, y) if x <= y else (y, x)
-        row = self.graph._sssp_cache.get(source)
-        if row is None:
-            row = self.graph.single_source(source)
-        d = float(row[target])
-        if math.isinf(d):
-            raise no_path_error(x, y)
-        return d
+        return self.graph.distance(x, y)
 
     def _cross(self, X, Y):
         """Each pair is gathered from the SSSP row of its smaller id, fetched
@@ -336,25 +330,27 @@ class GraphPath(MetricSpec):
 
 
 @dataclass(frozen=True, eq=False)
-class PolylineArc(MetricSpec):
+class PolylineArc(_Indices):
     """Arc-length metric over the vertices of a polyline."""
 
     polyline: Polyline
     name = "polylinearc"
+    what = "vertex index"
 
-    def validate_point(self, x):
-        return self.polyline.check_index(x)
-
-    def validate_many(self, points):
-        return as_indices(points, len(self.polyline), "vertex index")
+    @property
+    def size(self):
+        return len(self.polyline)
 
     def _eval(self, x, y):
         cum = self.polyline.cumulative
         return abs(cum[y] - cum[x])
 
     def _cross(self, X, Y):
+        """|cum[y] - cum[x]| with no temporary beyond the table; the sign of
+        a difference is exact, so the order of x and y does not matter."""
         cum = np.asarray(self.polyline.cumulative)
-        return _abs_difference(cum[np.asarray(X, dtype=np.intp)], cum[np.asarray(Y, dtype=np.intp)])
+        out = np.subtract.outer(cum[np.asarray(X, dtype=np.intp)], cum[np.asarray(Y, dtype=np.intp)])
+        return np.abs(out, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,7 +378,7 @@ class Subspace(MetricSpec):
 
 
 @dataclass(frozen=True, eq=False)
-class MatrixMetric(MetricSpec):
+class MatrixMetric(_Indices):
     """Candidate metric given extensionally by a distance matrix.
 
     Carrier points are row indices 0..n-1; nothing about the matrix is taken
@@ -392,11 +388,9 @@ class MatrixMetric(MetricSpec):
     matrix: DistanceMatrix
     name = "matrix"
 
-    def validate_point(self, x):
-        return as_index(x, self.matrix.n)
-
-    def validate_many(self, points):
-        return as_indices(points, self.matrix.n)
+    @property
+    def size(self):
+        return self.matrix.n
 
     def _eval(self, x, y):
         return float(self.matrix.values[x, y])

@@ -86,10 +86,14 @@ class WeightedGraph:
         for the nonnegative weights enforced at construction. The result is
         a read-only float64 array, memoized per source.
         """
-        source = self.check_vertex(source)
+        # an int with a cached row was checked when the row was built; True
+        # and 1.0 hash like 1, so every other type is checked before the lookup
+        if type(source) is not int:
+            source = self.check_vertex(source)
         cached = self._sssp_cache.get(source)
         if cached is not None:
             return cached
+        self.check_vertex(source)  # an int with no row yet
         dist = [math.inf] * self.vertex_count
         dist[source] = 0.0
         done = [False] * self.vertex_count
@@ -109,6 +113,17 @@ class WeightedGraph:
         self._sssp_cache[source] = row
         return row
 
+    def distance(self, u: int, v: int) -> float:
+        """Shortest-path distance between two vertex ids that ``check_vertex``
+        accepted, read from the ``single_source`` row of the smaller one, so
+        it is bitwise symmetric in (u, v). UnreachableError when no path
+        joins them."""
+        source, target = (u, v) if u <= v else (v, u)
+        d = float(self.single_source(source)[target])
+        if math.isinf(d):
+            raise no_path_error(u, v)
+        return d
+
 
 def no_path_error(u: int, v: int) -> UnreachableError:
     """The error for a vertex pair that no path joins."""
@@ -125,12 +140,7 @@ def shortest_path_distance(g: WeightedGraph, u, v) -> float:
     (u, v). A disconnected pair raises UnreachableError: the vertex set is
     not a metric space when distances fail to be finite.
     """
-    u, v = g.check_vertex(u), g.check_vertex(v)
-    source, target = (u, v) if u <= v else (v, u)
-    d = float(g.single_source(source)[target])
-    if math.isinf(d):
-        raise no_path_error(u, v)
-    return d
+    return g.distance(g.check_vertex(u), g.check_vertex(v))
 
 
 def grid_graph(width: int, height: int) -> WeightedGraph:
@@ -152,7 +162,9 @@ def grid_graph(width: int, height: int) -> WeightedGraph:
                 edges.append((vid(i, j), vid(i + 1, j), 1))
             if j + 1 < height:
                 edges.append((vid(i, j), vid(i, j + 1), 1))
-    coords = np.column_stack([np.tile(np.arange(width), height), np.repeat(np.arange(height), width)])
+    # built as floats, so as_points copies them once and casts nothing
+    xs, ys = np.arange(width, dtype=float), np.arange(height, dtype=float)
+    coords = np.column_stack([np.tile(xs, height), np.repeat(ys, width)])
     return WeightedGraph(width * height, edges, coords=coords)
 
 
@@ -226,12 +238,9 @@ class Polyline:
     def total_length(self) -> float:
         return self.cumulative[-1]
 
-    def check_index(self, i) -> int:
-        return as_index(i, len(self.vertices), "vertex index")
-
     def arc_distance(self, i, j) -> float:
         """Length along the chain between vertices i and j."""
-        i, j = self.check_index(i), self.check_index(j)
+        i, j = (as_index(k, len(self.vertices), "vertex index") for k in (i, j))
         return abs(self.cumulative[j] - self.cumulative[i])
 
 

@@ -1,15 +1,17 @@
 """Carrier validation helpers.
 
-Each carrier kind has a scalar validator for one point and a batch validator
-for a sequence of points; item k of a batch result equals the scalar result
-for item k bit for bit, and a batch holding an item the scalar validator
-rejects raises the scalar validator's error.
+Each carrier kind has one scalar validator for a point and one batch
+validator for a sequence of points; item k of a batch result equals the
+scalar result for item k bit for bit, and a batch holding an item the scalar
+validator rejects raises the scalar validator's error.
 
-* Coordinates: ``as_point`` coerces one point to a fresh finite 1-D float64
-  array; ``as_points`` gives a batch of one shared length as the rows of one
-  (n, d) array, from one conversion.
-* Reals: ``as_real`` gives one finite Python float; ``as_reals`` a list of
-  them, from one conversion.
+* Coordinates, of R^d and of the real line as d = 1: ``as_point`` coerces
+  one point to a fresh finite 1-D float64 array, and reads a real number as
+  a point of one coordinate; ``as_points`` gives a batch of one shared
+  length as the rows of one (n, d) array, from one conversion. Coordinates
+  are integers or floats: bools and strings raise CarrierError.
+* Sphere points: ``sphere.sphere_point`` and ``sphere.sphere_points``, built
+  on the coordinate pair with d = 3.
 * Indices (graph vertices, polyline vertices, matrix rows): ``as_index``
   gives one Python int in 0..n-1; ``as_indices`` checks a batch of plain ints
   by its least and greatest items.
@@ -20,7 +22,8 @@ call on a point of a few coordinates. A batch that fails its one-pass check
 falls back to the scalar validator item by item, which raises the error.
 
 ``point_key`` and ``point_keys`` give hashable exact-equality keys of
-validated points, and ``hypot_rows`` is the row-wise form of the Euclidean
+validated points, ``finite_radius`` checks the radius of a circle or of a
+ball boundary, and ``hypot_rows`` is the row-wise form of the Euclidean
 norm, shared by the coordinate and sphere kernels.
 """
 
@@ -33,15 +36,22 @@ import numpy as np
 
 from .errors import CarrierError
 
+_FLOAT64 = np.dtype(float)
+
 
 def as_point(p, dim: int | None = None) -> np.ndarray:
     """Coerce ``p`` to a finite 1-D float64 array, optionally of length ``dim``.
 
-    The result is always a fresh array, never a view of ``p``.
+    A scalar is a point of one coordinate. The coordinates must convert to a
+    numpy integer or float array, so bools and strings raise CarrierError;
+    numpy promotes a bool mixed with numbers, such as ``(True, 0.5)``, before
+    that check. The result is always a fresh array, never a view of ``p``.
     """
-    arr = np.array(p, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
+    arr = np.array(p, ndmin=1)
+    if arr.dtype is not _FLOAT64:  # the common case skips the kind test and the cast
+        if arr.dtype.kind not in "iuf":
+            raise CarrierError(f"point coordinates must be numbers, got {p!r}")
+        arr = arr.astype(float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"point must be a 1-D coordinate sequence, got shape {arr.shape}")
     if not all(map(math.isfinite, arr.tolist())):
@@ -58,22 +68,25 @@ def as_points(points: Sequence, dim: int | None = None):
     float64 array, from one conversion instead of n. Otherwise the result is
     the list of ``as_point`` results, so a point that ``as_point`` rejects
     raises its own error. Either way item k equals ``as_point(points[k],
-    dim)`` bitwise.
+    dim)`` bitwise, with one known limit: numpy promotes a bool mixed with
+    numbers in one conversion, so a batch that holds the row ``(True,
+    False)`` among rows of numbers reads it as numbers, where ``as_point``
+    alone refuses it (as it reads ``(True, 0.5)``). A bool among scalar
+    points is caught: that batch takes the per-item path.
     """
     try:
-        arr = np.array(points, dtype=float)
-    except (ValueError, TypeError, OverflowError):  # ragged or non-numeric
+        arr = np.array(points)
+    except ValueError:  # ragged
         arr = None
     if arr is not None and arr.ndim == 1:
-        arr = arr.reshape(-1, 1)  # scalars are 1-coordinate points
-    if (
-        arr is not None
-        and arr.ndim == 2
-        and arr.shape[1] > 0
-        and (dim is None or arr.shape[1] == dim)
-        and np.isfinite(arr).all()
-    ):
-        return arr
+        if isinstance(points, np.ndarray) or {bool, np.bool_}.isdisjoint(map(type, points)):
+            arr = arr.reshape(-1, 1)  # scalars are 1-coordinate points
+        else:
+            arr = None  # numpy reads a bool among numbers as a number; as_point refuses it
+    if arr is not None and arr.ndim == 2 and arr.dtype.kind in "iuf":
+        arr = arr.astype(float, copy=False)
+        if arr.shape[1] > 0 and (dim is None or arr.shape[1] == dim) and np.isfinite(arr).all():
+            return arr
     return [as_point(p, dim=dim) for p in points]
 
 
@@ -119,35 +132,14 @@ def as_indices(points: Sequence, n: int, what: str = "index") -> list[int]:
     return [as_index(i, n, what) for i in points]
 
 
-def as_real(x) -> float:
-    """Coerce ``x`` (a scalar or a 1-coordinate point) to a finite float."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1 and arr.size == 1:
-        arr = arr[0]
-    if arr.ndim != 0:
-        raise ValueError(f"expected a single real number, got shape {arr.shape}")
-    v = float(arr)
-    if not math.isfinite(v):
-        raise ValueError(f"value must be finite, got {v!r}")
-    return v
-
-
-def as_reals(points: Sequence) -> list[float]:
-    """``as_real`` of each item, as a list of Python floats.
-
-    Scalars and 1-coordinate points are read from one conversion. A batch it
-    cannot read, or one holding a non-finite value, takes the per-item loop,
-    so a bad item raises ``as_real``'s error.
-    """
-    try:
-        arr = np.array(points, dtype=float)
-    except (ValueError, TypeError, OverflowError):  # ragged or non-numeric
-        arr = None
-    if arr is not None and (arr.ndim == 1 or (arr.ndim == 2 and arr.shape[1] == 1)):
-        values = arr.ravel().tolist()
-        if all(map(math.isfinite, values)):
-            return values
-    return [as_real(x) for x in points]
+def finite_radius(r) -> float:
+    """``r`` as a float, or ValueError unless it is positive and finite."""
+    r = float(r)
+    if not r > 0:
+        raise ValueError(f"radius must be positive, got {r}")
+    if r == math.inf:
+        raise ValueError(f"radius must be finite, got {r}")
+    return r
 
 
 def hypot_rows(V: np.ndarray) -> np.ndarray:
@@ -167,15 +159,11 @@ def same_dim(p: np.ndarray, q: np.ndarray) -> None:
 
 
 def point_key(p):
-    """Hashable exact-equality key for a carrier point of any variant."""
+    """Hashable exact-equality key for a validated carrier point: an index
+    or a 1-D coordinate array."""
     if isinstance(p, (int, np.integer)):
         return int(p)
-    if isinstance(p, (float, np.floating)):
-        return float(p)
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim == 0:
-        return float(arr)
-    return tuple(arr.tolist())
+    return tuple(np.asarray(p, dtype=float).tolist())
 
 
 def point_keys(points):

@@ -4,18 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    Chebyshev,
-    Discrete,
-    Euclidean,
-    GraphPath,
-    GreatCircle,
-    MatrixMetric,
-    MetricSpec,
-    PolylineArc,
-    RealLine,
-    Subspace,
-)
+from .core import GreatCircle, MetricSpec, RealLine, Subspace, _Indices
 from .graphs import Polyline, WeightedGraph
 
 
@@ -83,12 +72,8 @@ def sample_for(spec: MetricSpec, rng: np.random.Generator, n: int, dim: int = 2)
         return list(random_sphere_points(rng, n))
     if isinstance(spec, RealLine):
         return [float(x) for x in rng.uniform(-1.0, 1.0, size=n)]
-    if isinstance(spec, (GraphPath,)):
-        return [int(v) for v in rng.integers(0, spec.graph.vertex_count, size=n)]
-    if isinstance(spec, PolylineArc):
-        return [int(v) for v in rng.integers(0, len(spec.polyline), size=n)]
-    if isinstance(spec, MatrixMetric):
-        return [int(v) for v in rng.integers(0, spec.matrix.n, size=n)]
+    if isinstance(spec, _Indices):
+        return [int(v) for v in rng.integers(0, spec.size, size=n)]
     if isinstance(spec, Subspace):
         pool = sorted(spec.allowed)
         idx = rng.integers(0, len(pool), size=n)

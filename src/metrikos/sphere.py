@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CarrierError, DegenerateGeometryError
-from .points import as_point, as_points, hypot_rows
+from .points import as_point, as_points, finite_radius, hypot_rows
 
 # Construction accepts vectors this far from unit norm and renormalizes them.
 UNIT_NORM_TOL = 1e-9
@@ -50,21 +50,19 @@ def unit_norm(v) -> float:
 
 @dataclass(frozen=True)
 class Circle2D:
-    """A circle in the plane, given by center and positive radius."""
+    """A circle in the plane, given by center and positive finite radius."""
 
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_point(self.center, dim=2))
-        object.__setattr__(self, "radius", float(self.radius))
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        object.__setattr__(self, "radius", finite_radius(self.radius))
 
 
 @dataclass(frozen=True)
 class Circle3D:
-    """A circle in 3-space: center, positive radius, and unit plane normal.
+    """A circle in 3-space: center, positive finite radius, and unit plane normal.
 
     The normal is renormalized at construction; a zero normal is rejected.
     """
@@ -75,9 +73,7 @@ class Circle3D:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_point(self.center, dim=3))
-        object.__setattr__(self, "radius", float(self.radius))
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        object.__setattr__(self, "radius", finite_radius(self.radius))
         n = as_point(self.normal, dim=3)
         norm = math.hypot(*n)
         if norm == 0.0:

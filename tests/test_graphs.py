@@ -5,7 +5,9 @@ import pytest
 
 import metrikos as mk
 from metrikos import sampling
+from metrikos import graphs
 from metrikos.graphs import grid_vertex
+from metrikos.points import as_index
 
 
 def simple_path_lengths(g, u, v) -> list:
@@ -92,6 +94,28 @@ class TestWeightedGraph:
         g = mk.WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(mk.UnreachableError):
             mk.shortest_path_distance(g, 1, 2)
+
+    def test_a_cached_row_is_not_served_to_a_bool(self):
+        # True == 1 and hash(True) == hash(1), so a bare cache lookup would serve it
+        g = mk.WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        g.single_source(1)
+        for bad in (True, np.bool_(True)):
+            with pytest.raises(mk.CarrierError, match="must be an integer"):
+                g.single_source(bad)
+        assert g.single_source(1.0) is g.single_source(1)
+
+    def test_a_cached_query_checks_each_id_once(self, monkeypatch):
+        g = mk.grid_graph(4, 4)
+        assert mk.shortest_path_distance(g, 5, 10) == 2.0
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return as_index(*args)
+
+        monkeypatch.setattr(graphs, "as_index", counting)
+        assert mk.shortest_path_distance(g, 10, 5) == 2.0
+        assert calls == [10, 5]
 
 
 class TestGridGraph:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from metrikos import CarrierError, Euclidean, RealLine, distance
+from metrikos.points import as_point
 from metrikos.plane import (
     chebyshev_distance,
     chebyshev_distances,
@@ -57,6 +59,23 @@ class TestValidation:
             euclidean_distance((0, float("nan")), (1, 1))
         with pytest.raises(ValueError):
             real_line_distance(float("inf"), 0)
+
+    def test_bools_and_strings_are_not_coordinates(self):
+        with pytest.raises(CarrierError, match="must be numbers"):
+            euclidean_distance((True, False), (0, 0))
+        with pytest.raises(CarrierError, match="must be numbers"):
+            distance(RealLine(), True, "2")
+        with pytest.raises(CarrierError, match="must be numbers"):
+            taxicab_distance(("1", "2"), (0, 0))
+        for spec, batch in (
+            (Euclidean(), [(True, False), (False, True)]),
+            (Euclidean(), np.array([[True, False]])),
+            (RealLine(), [True, False]),
+            (RealLine(), [0.5, True]),  # numpy would read it as [0.5, 1.0]
+            (RealLine(), [0.5, np.bool_(False)]),
+        ):
+            with pytest.raises(CarrierError, match="must be numbers"):
+                spec.validate_many(batch)
 
     def test_extreme_coordinates_do_not_overflow(self):
         d = euclidean_distance((1e200, 1e200), (-1e200, -1e200))
@@ -133,3 +152,10 @@ def test_real_line_matches_one_dimensional_points(rng):
         r, t = rng.uniform(-50, 50, size=2)
         assert real_line_distance(r, t) == euclidean_distance([r], [t])
         assert real_line_distance(r, t) == taxicab_distance([r], [t])
+
+
+@given(st.one_of(finite, st.integers(-(2**53), 2**53)), st.sampled_from([lambda x: x, np.float64, lambda x: [x], lambda x: np.array([x])]))
+def test_real_line_points_are_one_coordinate_points(x, form):
+    p = form(x)
+    got, want = RealLine().validate_point(p), as_point(p, 1)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import metrikos as mk
-from metrikos.points import as_indices, as_point, as_points, as_real, as_reals
+from metrikos.points import as_indices, as_point, as_points
 
 from _support import builtin_cases, case_id
 
@@ -125,15 +125,18 @@ def test_non_finite_coordinates_are_refused_in_every_position(coords, data):
         as_point(bad)
     with pytest.raises(ValueError, match="finite"):
         as_points([coords, bad])
+    # real numbers are the points of one coordinate
     with pytest.raises(ValueError, match="finite"):
-        as_reals(coords[:k] + [bad[k]] + coords[k:])
-    assert as_reals(coords) == [as_real(x) for x in coords] == coords
+        as_points(coords[:k] + [bad[k]] + coords[k:], 1)
+    reals = as_points(coords, 1)
+    assert [bits(row) for row in reals] == [bits(as_point(x, 1)) for x in coords]
+    assert reals[:, 0].tolist() == coords
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
-def test_as_real_refuses_non_finite_scalars_and_points(bad):
+def test_one_coordinate_points_refuse_non_finite_scalars_and_points(bad):
     for form in (bad, np.float64(bad), [bad], np.array([bad])):
         with pytest.raises(ValueError, match="finite"):
-            as_real(form)
+            as_point(form, 1)
         with pytest.raises(ValueError, match="finite"):
-            as_reals([1.0, form])
+            as_points([1.0, form], 1)

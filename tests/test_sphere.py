@@ -262,6 +262,14 @@ class TestCircleExtremalPoints:
         with pytest.raises(ValueError, match="positive"):
             mk.Circle3D((0, 0, 0), 0.0, (0, 0, 1))
 
+    def test_infinite_radius_rejected(self):
+        # as ball_boundary refuses it: radial projection would give [inf, inf]
+        for radius, why in ((0.0, "positive"), (math.nan, "positive"), (math.inf, "finite")):
+            with pytest.raises(ValueError, match=f"radius must be {why}"):
+                mk.Circle3D((0, 0, 0), radius, (0, 0, 1))
+            with pytest.raises(ValueError, match=f"radius must be {why}"):
+                mk.Circle2D((0, 0), radius)
+
 
 class TestEquidistantCircle:
     def test_circle_lies_on_sphere_at_right_distance(self, rng):
