@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import Chebyshev, Euclidean, MetricSpec, Taxicab
-from .points import as_point, as_points, finite_radius
+from .points import as_integer, as_point, as_points, finite_radius
 
 BOUNDARY_TOL = 1e-9
 MIN_BOUNDARY_SAMPLES = 8
@@ -100,10 +100,7 @@ class BoundaryPolyline:
     def __post_init__(self):
         object.__setattr__(self, "center", as_point(self.center, dim=2))
         object.__setattr__(self, "radius", float(self.radius))
-        samples = np.array(self.samples, dtype=float)
-        if samples.ndim != 2 or samples.shape[1] != 2:
-            raise ValueError("samples must be an (n, 2) array")
-        samples = as_points(samples, dim=2)  # a non-finite sample raises as_point's error
+        samples = as_points(self.samples, dim=2)
         spec = {s.name: s for s in (Euclidean(), Taxicab(), Chebyshev())}[self.metric_tag]
         d = spec._cross(self.center[None, :], samples)[0]
         off = np.abs(d - self.radius) > BOUNDARY_TOL
@@ -142,7 +139,7 @@ def ball_boundary(metric: MetricSpec, center, radius: float, n: int = 256) -> Bo
     """
     c = as_point(center, dim=2)
     radius = finite_radius(radius)  # inf * 0 would give NaN samples
-    n = int(n)
+    n = as_integer(n, "sample count")
     if n < MIN_BOUNDARY_SAMPLES:
         raise ValueError(f"need at least {MIN_BOUNDARY_SAMPLES} boundary samples, got {n}")
 

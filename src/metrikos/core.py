@@ -150,8 +150,7 @@ class _Coordinates(MetricSpec):
     the real line is the case ``dim = 1``, so a real number is validated as
     a 1-coordinate point. Each metric has one row kernel, ``_rows(diff)``,
     which maps a (..., d) array of coordinate differences x - y to the (...)
-    distances. Ragged points (a list from ``validate_many``) take the
-    per-pair loop, which raises the dimension mismatch.
+    distances.
     """
 
     dim = None
@@ -163,8 +162,9 @@ class _Coordinates(MetricSpec):
         return as_points(points, self.dim)
 
     def _cross(self, X, Y):
-        if not (isinstance(X, np.ndarray) and isinstance(Y, np.ndarray) and X.shape[1] == Y.shape[1]):
-            return super()._cross(X, Y)
+        if not (len(X) and len(Y)):  # an empty side is no dimension mismatch
+            return np.empty((len(X), len(Y)))
+        same_dim(X[0], Y[0])
         return _by_row_blocks(X, Y, self._block)
 
     def _block(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -18,28 +18,26 @@ import numpy as np
 
 from .core import DistanceMatrix
 from .graphs import WeightedGraph
-from .points import as_point
+from .points import as_integer, as_points
 
 
-def load_points(path) -> tuple[int, list[np.ndarray]]:
-    """Read a point-set JSON file; returns (dim, points)."""
+def load_points(path) -> tuple[int, np.ndarray]:
+    """Read a point-set JSON file; returns (dim, points), an (n, dim) array."""
     with open(path) as f:
         data = json.load(f)
-    if not isinstance(data, dict) or "dim" not in data or "points" not in data:
-        raise ValueError(f"{path}: expected an object with 'dim' and 'points'")
-    dim = int(data["dim"])
+    if not isinstance(data, dict) or "dim" not in data or not isinstance(data.get("points"), list):
+        raise ValueError(f"{path}: expected an object with 'dim' and a 'points' list")
+    dim = as_integer(data["dim"], f"{path}: dim")
     if dim < 1:
         raise ValueError(f"{path}: dim must be a positive integer")
-    points = [as_point(p, dim=dim) for p in data["points"]]
-    return dim, points
+    return dim, as_points(data["points"], dim=dim)
 
 
 def dump_points(path, points) -> None:
-    pts = [as_point(p) for p in points]
-    if not pts:
+    pts = as_points(points)
+    if not len(pts):
         raise ValueError("point set must be nonempty")
-    dim = pts[0].size
-    payload = {"dim": dim, "points": [[float(c) for c in as_point(p, dim=dim)] for p in pts]}
+    payload = {"dim": pts.shape[1], "points": pts.tolist()}
     Path(path).write_text(json.dumps(payload, indent=1) + "\n")
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UnreachableError
-from .points import as_index, as_integer, as_point, as_points, hypot_rows
+from .points import as_index, as_integer, as_points, hypot_rows
 
 
 class WeightedGraph:
@@ -27,9 +27,9 @@ class WeightedGraph:
     nonpositive lengths, and duplicate undirected edges are rejected. The
     vertex count and the ids are integers, checked as ``as_integer`` checks
     them, so no id is silently truncated. ``coords`` optionally embeds each
-    vertex in the plane (used by grids), one point per vertex.
-    Shortest-path results are memoized per source; the graph must not be
-    mutated after construction.
+    vertex (used by grids): one point per vertex, the rows of an (n, d)
+    array. Shortest-path results are memoized per source; the graph must
+    not be mutated after construction.
     """
 
     def __init__(self, vertex_count: int, edges: Sequence[tuple], coords=None):
@@ -148,7 +148,7 @@ def grid_graph(width: int, height: int) -> WeightedGraph:
     0 <= j < height, joined to horizontal and vertical neighbors by edges of
     length 1. Vertex (i, j) has id ``j * width + i`` and coords (i, j).
     """
-    width, height = int(width), int(height)
+    width, height = as_integer(width, "grid width"), as_integer(height, "grid height")
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be at least 1")
 
@@ -170,7 +170,7 @@ def grid_graph(width: int, height: int) -> WeightedGraph:
 
 def grid_vertex(width: int, i: int, j: int) -> int:
     """Vertex id of lattice point (i, j) in a grid of the given width."""
-    return int(j) * int(width) + int(i)
+    return as_integer(j, "j") * as_integer(width, "grid width") + as_integer(i, "i")
 
 
 def count_geodesics(g: WeightedGraph, u, v) -> int:
@@ -212,7 +212,8 @@ def count_geodesics(g: WeightedGraph, u, v) -> int:
 
 
 class Polyline:
-    """An ordered chain of at least two plane points with distinct neighbors.
+    """An ordered chain of at least two plane points with distinct neighbors,
+    ``vertices``, the rows of an (n, 2) array.
 
     ``arc_distance`` measures length along the chain. Internally each vertex
     gets a cumulative arc-length parameter; distances are absolute parameter
@@ -221,15 +222,14 @@ class Polyline:
     """
 
     def __init__(self, vertices: Sequence):
-        pts = [as_point(p, dim=2) for p in vertices]
+        pts = as_points(vertices, dim=2)
         if len(pts) < 2:
             raise ValueError("a polyline needs at least two vertices")
-        for a, b in zip(pts, pts[1:]):
-            if a[0] == b[0] and a[1] == b[1]:
-                raise ValueError("consecutive polyline vertices must be distinct")
+        steps = np.diff(pts, axis=0)
+        if (steps == 0).all(1).any():  # finite a - b is 0 exactly when a == b
+            raise ValueError("consecutive polyline vertices must be distinct")
         self.vertices = pts
-        steps = hypot_rows(np.diff(pts, axis=0)).tolist()
-        self.cumulative = tuple(itertools.accumulate(steps, initial=0.0))
+        self.cumulative = tuple(itertools.accumulate(hypot_rows(steps).tolist(), initial=0.0))
 
     def __len__(self) -> int:
         return len(self.vertices)

@@ -2,9 +2,9 @@
 
 Every function here is a view of a ``MetricSpec`` in ``core``, which holds
 the one formula of each metric. The scalar functions are ``distance`` under
-that spec; the rowwise functions check their two (n, dim) arrays and apply
-the spec's row kernel to the coordinate differences, so row k equals the
-scalar function of row k bit for bit.
+that spec; the rowwise functions validate their two (n, dim) arrays with
+``as_points`` and apply the spec's row kernel to the coordinate differences,
+so row k equals the scalar function of row k bit for bit, or raises its error.
 
 The two-coordinate formulas generalize coordinatewise to any dimension; the
 real line is the one-dimensional case.
@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Chebyshev, Discrete, Euclidean, RealLine, Taxicab, distance
+from .points import as_points
 
 _EUCLIDEAN, _TAXICAB, _CHEBYSHEV = Euclidean(), Taxicab(), Chebyshev()
 _DISCRETE, _REAL_LINE = Discrete(), RealLine()
@@ -59,14 +60,12 @@ def discrete_distance(p, q) -> float:
 
 
 def _as_rows(P, Q):
-    """The differences P - Q of two matching (n, dim) arrays of finite
-    coordinates."""
-    Pa, Qa = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
-    if Pa.shape != Qa.shape or Pa.ndim != 2 or Pa.shape[1] == 0:
-        raise ValueError(f"expected matching (n, dim) arrays, got {Pa.shape} and {Qa.shape}")
-    if not (np.all(np.isfinite(Pa)) and np.all(np.isfinite(Qa))):
-        raise ValueError("coordinates must be finite")
-    return Pa - Qa
+    """The differences P - Q of two matching (n, dim) arrays of points, each
+    row validated as the scalar functions validate a point."""
+    shape = np.shape(P)
+    if len(shape) != 2 or shape[1] == 0 or np.shape(Q) != shape:
+        raise ValueError(f"expected matching (n, dim) arrays, got {shape} and {np.shape(Q)}")
+    return as_points(P) - as_points(Q)
 
 
 def euclidean_distances(P, Q) -> np.ndarray:

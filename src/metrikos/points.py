@@ -7,9 +7,10 @@ validator rejects raises the scalar validator's error.
 
 * Coordinates, of R^d and of the real line as d = 1: ``as_point`` coerces
   one point to a fresh finite 1-D float64 array, and reads a real number as
-  a point of one coordinate; ``as_points`` gives a batch of one shared
-  length as the rows of one (n, d) array, from one conversion. Coordinates
-  are integers or floats: bools and strings raise CarrierError.
+  a point of one coordinate; ``as_points`` coerces a batch to the rows of
+  one fresh (n, d) float64 array, or raises. They are the only way in for
+  coordinates. Coordinates are integers or floats: bools and strings raise
+  CarrierError.
 * Sphere points: ``sphere.sphere_point`` and ``sphere.sphere_points``, built
   on the coordinate pair with d = 3.
 * Indices (graph vertices, polyline vertices, matrix rows): ``as_index``
@@ -61,33 +62,34 @@ def as_point(p, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def as_points(points: Sequence, dim: int | None = None):
-    """Coerce a sequence of points, each as ``as_point`` would.
+def as_points(points: Sequence, dim: int | None = None) -> np.ndarray:
+    """The rows of one fresh (n, d) float64 array, row k equal to
+    ``as_point(points[k], dim)`` bit for bit, from one conversion.
 
-    Points of one shared length come back as the rows of a fresh (n, d)
-    float64 array, from one conversion instead of n. Otherwise the result is
-    the list of ``as_point`` results, so a point that ``as_point`` rejects
-    raises its own error. Either way item k equals ``as_point(points[k],
-    dim)`` bitwise, with one known limit: numpy promotes a bool mixed with
-    numbers in one conversion, so a batch that holds the row ``(True,
-    False)`` among rows of numbers reads it as numbers, where ``as_point``
-    alone refuses it (as it reads ``(True, 0.5)``). A bool among scalar
-    points is caught: that batch takes the per-item path.
+    A batch that fails the one-pass check takes the ``as_point`` loop, so a
+    bad point raises its own error, and points of different lengths raise
+    ``same_dim``'s error for point 0 and the first one of another length.
+    An empty batch is a (0, d) array, with d = 1 when ``dim`` is None.
     """
     try:
         arr = np.array(points)
     except ValueError:  # ragged
         arr = None
     if arr is not None and arr.ndim == 1:
-        if isinstance(points, np.ndarray) or {bool, np.bool_}.isdisjoint(map(type, points)):
-            arr = arr.reshape(-1, 1)  # scalars are 1-coordinate points
-        else:
-            arr = None  # numpy reads a bool among numbers as a number; as_point refuses it
-    if arr is not None and arr.ndim == 2 and arr.dtype.kind in "iuf":
+        arr = arr.reshape(-1, 1)  # scalars are 1-coordinate points
+    if arr is not None and arr.ndim == 2 and arr.dtype.kind in "iuf" and arr.shape[1] > 0 and dim in (None, arr.shape[1]):
         arr = arr.astype(float, copy=False)
-        if arr.shape[1] > 0 and (dim is None or arr.shape[1] == dim) and np.isfinite(arr).all():
+        if np.isfinite(arr).all():
+            # numpy reads a point of bools among numbers as 0s and 1s, where
+            # as_point refuses it; such a point starts with a 0 or a 1
+            if not isinstance(points, np.ndarray) and not {0.0, 1.0}.isdisjoint(arr[:, 0].tolist()):
+                for k in np.flatnonzero((arr == (arr != 0)).all(1)).tolist():
+                    as_point(points[k], dim)
             return arr
-    return [as_point(p, dim=dim) for p in points]
+    rows = [as_point(p, dim) for p in points]  # a bad point raises its own error
+    for q in rows:
+        same_dim(rows[0], q)
+    return np.array(rows) if rows else np.empty((0, dim or 1))
 
 
 def as_integer(i, what: str = "index") -> int:

@@ -87,7 +87,7 @@ def sphere_points(P) -> np.ndarray:
     Returns the rows of an (n, 3) array; row k equals ``sphere_point(P[k])``
     bit for bit, and a point that ``sphere_point`` rejects raises its error.
     """
-    rows = np.asarray(as_points(P, dim=3)).reshape(-1, 3)
+    rows = as_points(P, dim=3)
     norms = hypot_rows(rows)
     bad = np.abs(norms - 1.0) > UNIT_NORM_TOL
     if bad.any():
@@ -205,13 +205,10 @@ def circular_projection(c: Circle2D, p) -> np.ndarray:
 def circular_projections(c: Circle2D, P) -> np.ndarray:
     """Rowwise radial projection of an (n, 2) point array onto ``c``; row k
     equals ``circular_projection(c, P[k])`` bit for bit."""
-    Pa = np.asarray(P, dtype=float)
-    if Pa.ndim != 2 or Pa.shape[1] != 2:
-        raise ValueError(f"expected an (n, 2) array, got shape {Pa.shape}")
-    finite = np.isfinite(Pa).all(1)
-    if not finite.all():
-        as_point(Pa[np.argmin(finite)])  # raises as circular_projection does
-    V = Pa - c.center
+    shape = np.shape(P)
+    if len(shape) != 2 or shape[1] != 2:
+        raise ValueError(f"expected an (n, 2) array, got shape {shape}")
+    V = as_points(P) - c.center  # a row circular_projection refuses raises its error
     norms = hypot_rows(V)
     if np.any(norms == 0.0):
         raise ValueError("circular projection is undefined at the circle center")

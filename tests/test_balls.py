@@ -95,6 +95,9 @@ class TestNesting:
         probes = list(sampling.random_points(rng, 200, low=-1.5, high=1.5))
         ok, witness = mk.check_nesting(mk.Euclidean(), (0, 0), 1.0, (0.5, 0), 0.5, probes)
         assert ok and witness is None
+        # no probes is no dimension mismatch, whatever the width of the batch
+        for spec, p in ((mk.Euclidean(), (0, 0)), (mk.Taxicab(), (0, 0, 0)), (mk.RealLine(), 0.0)):
+            assert mk.check_nesting(spec, p, 1.0, p, 0.5, []) == (True, None)
 
     def test_reflexive_inclusion(self, rng):
         probes = list(sampling.random_points(rng, 100))
@@ -267,11 +270,17 @@ class TestBallBoundary:
         ]:
             b = mk.ball_boundary(spec, center, 1.7, n=40)
             assert all(abs(dist(center, x) - 1.7) <= 1e-9 for x in b.samples)
-            # a sample off the radius, or not finite, is refused at construction
-            for k, bad in [(5, center + (b.samples[5] - center) * (1 + 1e-8)), (39, (math.nan, 0.0))]:
-                samples = b.samples.copy()
+            # a sample off the radius, not finite, or not made of numbers is
+            # refused at construction, as the scalar point check refuses it
+            for k, bad, error, message in [
+                (5, center + (b.samples[5] - center) * (1 + 1e-8), ValueError, "boundary sample"),
+                (39, (math.nan, 0.0), ValueError, "finite"),
+                (12, ("3", "4"), mk.CarrierError, "must be numbers"),
+                (20, (True, False), mk.CarrierError, "must be numbers"),
+            ]:
+                samples = list(b.samples)
                 samples[k] = bad
-                with pytest.raises(ValueError, match="boundary sample" if k == 5 else "finite"):
+                with pytest.raises(error, match=message):
                     mk.BoundaryPolyline(spec.name, center, 1.7, samples)
 
     def test_counterclockwise_angular_order(self):
@@ -292,3 +301,8 @@ class TestBallBoundary:
                 mk.ball_boundary(spec, (0, 0), math.inf)
         with pytest.raises(ValueError, match="at least 8"):
             mk.ball_boundary(mk.Euclidean(), (0, 0), 1.0, n=4)
+        # the sample count is an integer, never truncated (int(8.9) is 8)
+        for n in (8.9, True, math.inf, "16"):
+            with pytest.raises(mk.CarrierError, match="sample count must be an integer"):
+                mk.ball_boundary(mk.Euclidean(), (0, 0), 1.0, n=n)
+        assert len(mk.ball_boundary(mk.Euclidean(), (0, 0), 1.0, n=16.0).samples) == 16

@@ -93,6 +93,14 @@ class TestCheck:
         assert res.returncode == 0
         assert res.stdout.decode().count("PASS") == 5
 
+    def test_points_file_with_a_fractional_dim_is_usage_error(self, tmp_path):
+        # int() once read "dim": 2.5 as 2 and certified the points
+        f = tmp_path / "pts.json"
+        f.write_text(json.dumps({"dim": 2.5, "points": [[0, 0], [1, 0], [0, 1]]}))
+        res = run_cli("check", "--metric", "euclidean", "--points", str(f))
+        assert res.returncode == 2
+        assert res.stdout == b"" and b"dim must be an integer, got 2.5" in res.stderr
+
     def test_seeded_random_sample_is_deterministic(self):
         args = ("check", "--metric", "greatcircle", "--random", "24", "--seed", "7")
         first = run_cli(*args)

@@ -441,6 +441,9 @@ class TestRestrict:
         sub = mk.restrict(mk.Euclidean(), [(0, 0), (1, 0)])
         with pytest.raises(mk.CarrierError):
             mk.distance(sub, (0, 0), (0.5, 0))
+        # a set that no one metric measures is refused when restricted to
+        with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+            mk.restrict(mk.Euclidean(), [(0, 0), (1, 2, 3)])
 
     def test_empty_restriction_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):

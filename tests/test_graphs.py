@@ -7,7 +7,7 @@ import metrikos as mk
 from metrikos import sampling
 from metrikos import graphs
 from metrikos.graphs import grid_vertex
-from metrikos.points import as_index
+from metrikos.points import as_index, as_point
 
 
 def simple_path_lengths(g, u, v) -> list:
@@ -51,6 +51,12 @@ class TestWeightedGraph:
         for bad in (1.7, True, np.bool_(True), np.float32(1.5), math.nan, math.inf, "1", -1, 3):
             with pytest.raises(mk.CarrierError):
                 g.check_vertex(bad)
+        # coords: one plane point per vertex, all of one length
+        with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+            mk.WeightedGraph(2, [(0, 1, 1.0)], coords=[(0, 0), (1, 2, 3)])
+        with pytest.raises(mk.CarrierError, match="must be numbers"):
+            mk.WeightedGraph(2, [(0, 1, 1.0)], coords=[(0, 0), (True, False)])
+        assert mk.WeightedGraph(2, [(0, 1, 1.0)], coords=[(0, 0), (1, 2)]).coords.shape == (2, 2)
 
     def test_edge_ids_and_vertex_count_are_not_truncated(self):
         # int() would read these as the edges (0, 1) and (1, 2) of 3 or 2 vertices
@@ -132,6 +138,14 @@ class TestGridGraph:
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
             mk.grid_graph(0, 4)
+        # dimensions and lattice indices are integers, never truncated
+        for width, height in ((2.7, 3), (3, True), (3, "2")):
+            with pytest.raises(mk.CarrierError, match="must be an integer"):
+                mk.grid_graph(width, height)
+        for args in ((4, 1.5, 0), (4, 0, 1.5), (4.5, 1, 1), (4, True, 0)):
+            with pytest.raises(mk.CarrierError, match="must be an integer"):
+                grid_vertex(*args)
+        assert mk.grid_graph(3.0, np.int64(2)).vertex_count == 6 and grid_vertex(4.0, np.int64(1), 2.0) == 9
 
     def test_four_by_four_corner(self):
         g = mk.grid_graph(4, 4)
@@ -212,6 +226,18 @@ class TestPolyline:
             mk.Polyline([(0, 0)])
         with pytest.raises(ValueError, match="distinct"):
             mk.Polyline([(0, 0), (0, 0), (1, 1)])
+        # vertices: as the scalar point check reads them, in one batch
+        for bad in (("3", "4"), (True, False), (0.5, math.nan)):
+            with pytest.raises(ValueError) as one:
+                as_point(bad, dim=2)
+            with pytest.raises(ValueError) as batch:
+                mk.Polyline([(0.5, 0.5), bad])
+            assert type(batch.value) is type(one.value) and str(batch.value) == str(one.value), bad
+        with pytest.raises(ValueError, match="expected a 2-dimensional point"):
+            mk.Polyline([(0, 0), (1, 2, 3)])
+        poly = mk.Polyline([(0, 0), (3, 4), (3, 5)])
+        assert poly.vertices.dtype == np.float64 and poly.vertices.shape == (3, 2)
+        assert poly.cumulative == (0.0, 5.0, 6.0)
         # vertex indices: integral values only, nothing truncated
         arc = mk.PolylineArc(mk.Polyline([(0, 0), (1, 0), (1, 1)]))
         for ok in (1, np.int64(1), 1.0, np.float32(1.0)):

@@ -23,6 +23,14 @@ class TestPointSetFiles:
         path.write_text(json.dumps({"dim": 2, "points": [[1, 2], [3]]}))
         with pytest.raises(ValueError):
             fileio.load_points(path)
+        # int() would read 2.5 as 2 and true as 1
+        for dim in (2.5, True, "2", None):
+            path.write_text(json.dumps({"dim": dim, "points": [[1, 2], [3, 4]]}))
+            with pytest.raises(mk.CarrierError, match="dim must be an integer"):
+                fileio.load_points(path)
+        path.write_text(json.dumps({"dim": 2.0, "points": [[1, 2], [3, 4]]}))
+        dim, points = fileio.load_points(path)
+        assert dim == 2 and points.dtype == np.float64 and points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "nan.json"
@@ -35,6 +43,11 @@ class TestPointSetFiles:
         path.write_text('{"points": [[1, 2]]}')
         with pytest.raises(ValueError, match="dim"):
             fileio.load_points(path)
+        # not a list of points: once a TypeError, which the CLI does not catch
+        for points in ("5", "null", '{"0": [1, 2]}'):
+            path.write_text('{"dim": 2, "points": %s}' % points)
+            with pytest.raises(ValueError, match="'points' list"):
+                fileio.load_points(path)
 
 
 class TestGraphFiles:

@@ -133,6 +133,17 @@ def test_batch_matches_scalar(rng, dim):
         want = np.array([scalar(p, q) for p, q in zip(P, Q)])
         assert np.isfinite(want).all()
         assert np.array_equal(rowwise(P, Q).view(np.int64), want.view(np.int64)), rowwise.__name__
+        # a row the scalar form refuses raises its error: strings and bools are not coordinates
+        for bad in (("3",) * dim, (True,) + (False,) * (dim - 1), (math.nan,) * dim):
+            with pytest.raises(ValueError) as one:
+                scalar(bad, Q[1])
+            rows = list(P)
+            rows[1] = bad
+            for args in ((rows, Q), (Q, rows)):
+                with pytest.raises(ValueError) as batch:
+                    rowwise(*args)
+                assert type(batch.value) is type(one.value), (rowwise.__name__, bad)
+                assert str(batch.value) == str(one.value), (rowwise.__name__, bad)
 
 
 def test_pythagorean_decomposition(rng):

@@ -1,5 +1,7 @@
 """The carrier validators: a batch equals its points one by one, bit for bit,
-and a batch holding a bad item raises the error of that item."""
+and a batch holding a bad item raises the error of that item. A batch of
+coordinates is always one (n, d) float64 array, so a batch of points of
+different lengths raises the dimension mismatch."""
 
 import math
 
@@ -13,7 +15,8 @@ from metrikos.points import as_indices, as_point, as_points
 from _support import builtin_cases, case_id
 
 CASES = builtin_cases(np.random.default_rng(8), n=6)
-INDEX_CASES = [case for case in CASES if case[0].name in ("graphpath", "polylinearc", "matrix")]
+INDEX_NAMES = ("graphpath", "polylinearc", "matrix")
+INDEX_CASES = [case for case in CASES if case[0].name in INDEX_NAMES]
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
 # items that some carrier rejects, or that a batch conversion could misread:
@@ -43,12 +46,24 @@ def bits(item):
 
 
 def assert_contract(spec, batch):
+    coordinates = spec.name not in INDEX_NAMES
+    # points that pass one by one but differ in length; a subspace validates
+    # the batch on its base before it checks membership
+    base = [outcome(getattr(spec, "base", spec).validate_point, x) for x in batch]
+    if coordinates and all(status == "ok" for status, _ in base) and len({p.size for _, p in base}) > 1:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            spec.validate_many(batch)
+        return
     per_point = [outcome(spec.validate_point, x) for x in batch]
     raised = [result for status, result in per_point if status == "raise"]
     if not raised:
+        points = [result for _, result in per_point]
         got = spec.validate_many(batch)
         assert len(got) == len(batch)
-        assert [bits(g) for g in got] == [bits(result) for _, result in per_point], (spec.name, batch)
+        assert [bits(g) for g in got] == [bits(p) for p in points], (spec.name, batch)
+        if coordinates:  # one (n, d) float64 array, also when empty
+            width = points[0].size if points else 3 if spec.name == "greatcircle" else 1
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == (len(batch), width)
         return
     assert len(raised) == 1, "one bad item per batch"
     with pytest.raises(Exception) as info:
@@ -79,6 +94,7 @@ def test_batch_equals_its_points_and_one_bad_item_raises_its_error(case, data):
 def test_whole_sample_and_empty_batch(case):
     spec, sample = case
     assert_contract(spec, sample)
+    assert_contract(spec, [])
     assert list(spec.validate_many([])) == []
 
 

@@ -190,14 +190,15 @@ class TestCircularProjection:
 
     def test_non_finite_rows_rejected_like_the_scalar_form(self):
         c = mk.Circle2D((0.0, 0.0), 1.0)
-        for bad in ((math.nan, 1.0), (2.0, math.inf), (-math.inf, -math.inf)):
-            with pytest.raises(ValueError, match="must be finite") as scalar:
+        for bad in ((math.nan, 1.0), (2.0, math.inf), (-math.inf, -math.inf), ("3", "4"), (True, False)):
+            message = "must be numbers" if isinstance(bad[0], (str, bool)) else "must be finite"
+            with pytest.raises(ValueError, match=message) as scalar:
                 mk.circular_projection(c, bad)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # and no numpy warning on the way
-                with pytest.raises(ValueError, match="must be finite") as batch:
+                with pytest.raises(ValueError, match=message) as batch:
                     mk.circular_projections(c, [(2.0, 0.0), bad, (0.0, 3.0)])
-            assert str(batch.value) == str(scalar.value)
+            assert type(batch.value) is type(scalar.value) and str(batch.value) == str(scalar.value)
         with pytest.raises(ValueError, match="expected an"):
             mk.circular_projections(c, [(math.nan, 1.0, 2.0)])
 
