@@ -1,5 +1,5 @@
-"""Open balls, the nesting lemma as a runtime check, and unit-ball boundary
-curves (circle, diamond, square) for the three plane metrics.
+"""Open balls, the nesting lemma as a runtime check, and ball boundaries
+(circle, diamond, square) of the three plane metrics, one array formula each.
 
 Membership is strict: B(p, r) holds the points at distance *less than* r, so
 a point at distance exactly r is outside. On the real line the ball is the
@@ -84,6 +84,49 @@ def check_nesting(
     return True, None
 
 
+def _circle(r: float, n: int) -> np.ndarray:
+    theta = 2.0 * math.pi * np.arange(n) / n
+    return r * np.column_stack([np.cos(theta), np.sin(theta)])
+
+
+def _four_edges(r: float, n: int, first_edge) -> np.ndarray:
+    """Offsets around a four-edge polygon, counterclockwise: the first edge
+    is ``first_edge(r, v)`` at v = k / m, k < m, for its m samples, and each
+    further edge the one before turned a quarter turn (a swap and a sign)."""
+    edges = []
+    for turns in range(4):
+        m = n // 4 + (turns < n % 4)
+        x, y = first_edge(r, np.arange(m) / m)
+        for _ in range(turns):
+            x, y = -y, x
+        # + 0.0 normalizes -0.0 at the polygon vertices
+        edges.append(np.column_stack([x + 0.0, y + 0.0]))
+    return np.concatenate(edges)
+
+
+def _diamond_edge(r: float, v: np.ndarray):
+    """Magnitudes (a, b) with a + b == r exactly in floating point, from
+    (r, 0) towards (0, r). The smaller magnitude is always computed as r
+    minus the larger, which subtracts exactly (Sterbenz), so taxicab edge
+    samples sit on the boundary bit for bit when the center is the origin."""
+    near = v <= 0.5
+    larger = np.where(near, r * (1.0 - v), r * v)
+    return np.where(near, larger, r - larger), np.where(near, r - larger, larger)
+
+
+def _square_edge(r: float, v: np.ndarray):
+    # from the corner (r, -r) towards (r, r)
+    return np.full_like(v, r), r * (2.0 * v - 1.0)
+
+
+# drawable metric tag -> (spec, offsets(r, n) of its n boundary samples, CCW)
+_SHAPES = {
+    "euclidean": (Euclidean(), _circle),
+    "taxicab": (Taxicab(), lambda r, n: _four_edges(r, n, _diamond_edge)),
+    "chebyshev": (Chebyshev(), lambda r, n: _four_edges(r, n, _square_edge)),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class BoundaryPolyline:
     """Ordered samples tracing {x : d(center, x) = radius} for a plane metric.
@@ -101,7 +144,7 @@ class BoundaryPolyline:
         object.__setattr__(self, "center", as_point(self.center, dim=2))
         object.__setattr__(self, "radius", float(self.radius))
         samples = as_points(self.samples, dim=2)
-        spec = {s.name: s for s in (Euclidean(), Taxicab(), Chebyshev())}[self.metric_tag]
+        spec, _ = _SHAPES[self.metric_tag]
         d = spec._cross(self.center[None, :], samples)[0]
         off = np.abs(d - self.radius) > BOUNDARY_TOL
         if off.any():
@@ -109,23 +152,6 @@ class BoundaryPolyline:
             raise ValueError(f"boundary sample {samples[k]} is at distance {d[k]}, expected {self.radius}")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
-
-
-def _split_counts(n: int, parts: int) -> list[int]:
-    base, extra = divmod(n, parts)
-    return [base + (1 if k < extra else 0) for k in range(parts)]
-
-
-def _complement_pair(r: float, v: float) -> tuple[float, float]:
-    """Magnitudes (a, b) with a + b == r exactly in floating point, a at
-    parameter 1-v of the edge. The smaller magnitude is always computed as
-    r minus the larger, which subtracts exactly (Sterbenz), so taxicab edge
-    samples sit on the boundary bit-for-bit when the center is the origin."""
-    if v <= 0.5:
-        a = r * (1.0 - v)
-        return a, r - a
-    b = r * v
-    return r - b, b
 
 
 def ball_boundary(metric: MetricSpec, center, radius: float, n: int = 256) -> BoundaryPolyline:
@@ -142,47 +168,7 @@ def ball_boundary(metric: MetricSpec, center, radius: float, n: int = 256) -> Bo
     n = as_integer(n, "sample count")
     if n < MIN_BOUNDARY_SAMPLES:
         raise ValueError(f"need at least {MIN_BOUNDARY_SAMPLES} boundary samples, got {n}")
-
-    if isinstance(metric, Euclidean):
-        theta = 2.0 * math.pi * np.arange(n) / n
-        offsets = radius * np.column_stack([np.cos(theta), np.sin(theta)])
-        tag = "euclidean"
-    elif isinstance(metric, Taxicab):
-        # diamond edges CCW from (r, 0); per-edge quadrant signs
-        signs = [(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)]
-        swap = [False, True, False, True]
-        offsets = np.empty((n, 2))
-        row = 0
-        for edge, m in enumerate(_split_counts(n, 4)):
-            s1, s2 = signs[edge]
-            for k in range(m):
-                a, b = _complement_pair(radius, k / m)
-                if swap[edge]:
-                    a, b = b, a
-                # + 0.0 normalizes -0.0 at the polygon vertices
-                offsets[row] = (s1 * a + 0.0, s2 * b + 0.0)
-                row += 1
-        tag = "taxicab"
-    elif isinstance(metric, Chebyshev):
-        # square edges CCW from corner (r, -r)
-        offsets = np.empty((n, 2))
-        row = 0
-        for edge, m in enumerate(_split_counts(n, 4)):
-            for k in range(m):
-                w = radius * (2.0 * (k / m) - 1.0)
-                if edge == 0:
-                    offsets[row] = (radius, w + 0.0)
-                elif edge == 1:
-                    offsets[row] = (-w + 0.0, radius)
-                elif edge == 2:
-                    offsets[row] = (-radius, -w + 0.0)
-                else:
-                    offsets[row] = (w + 0.0, -radius)
-                row += 1
-        tag = "chebyshev"
-    else:
-        raise ValueError(
-            "ball boundaries are drawn for euclidean, taxicab, and chebyshev only"
-        )
-
-    return BoundaryPolyline(tag, c, radius, c + offsets)
+    spec, offsets = _SHAPES.get(getattr(metric, "name", None), (None, None))
+    if spec != metric:
+        raise ValueError("ball boundaries are drawn for euclidean, taxicab, and chebyshev only")
+    return BoundaryPolyline(spec.name, c, radius, c + offsets(radius, n))

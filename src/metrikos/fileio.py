@@ -45,10 +45,11 @@ def load_graph(path) -> WeightedGraph:
     """Read a graph JSON file into a WeightedGraph."""
     with open(path) as f:
         data = json.load(f)
-    if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
-        raise ValueError(f"{path}: expected an object with 'vertices' and 'edges'")
-    edges = [tuple(e) for e in data["edges"]]
-    return WeightedGraph(data["vertices"], edges, coords=data.get("coords"))
+    edges = data.get("edges") if isinstance(data, dict) else None
+    if not (isinstance(edges, list) and "vertices" in data
+            and all(isinstance(e, list) and len(e) == 3 and type(e[2]) in (int, float) for e in edges)):
+        raise ValueError(f"{path}: expected an object with 'vertices' and an 'edges' list of [u, v, length] lists")
+    return WeightedGraph(data["vertices"], [tuple(e) for e in edges], coords=data.get("coords"))
 
 
 def load_matrix_csv(path) -> DistanceMatrix:

@@ -86,6 +86,8 @@ def as_points(points: Sequence, dim: int | None = None) -> np.ndarray:
                 for k in np.flatnonzero((arr == (arr != 0)).all(1)).tolist():
                     as_point(points[k], dim)
             return arr
+    if not np.iterable(points):
+        raise ValueError(f"expected a sequence of points, got {points!r}")
     rows = [as_point(p, dim) for p in points]  # a bad point raises its own error
     for q in rows:
         same_dim(rows[0], q)

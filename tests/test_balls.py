@@ -46,6 +46,33 @@ class OriginInflated(mk.MetricSpec):
         return 3.0 * d if not (x.any() and y.any()) else d
 
 
+def per_sample_polygon(tag, r, n):
+    """The taxicab diamond or Chebyshev square offsets one sample at a time,
+    each edge's m samples at v = k / m: the reference for the array form."""
+    base, extra = divmod(n, 4)
+    rows = []
+    for edge in range(4):
+        m = base + (1 if edge < extra else 0)
+        for k in range(m):
+            v = k / m
+            if tag == "taxicab":
+                # a + b == r exactly: the smaller magnitude is r minus the larger
+                if v <= 0.5:
+                    a = r * (1.0 - v)
+                    b = r - a
+                else:
+                    b = r * v
+                    a = r - b
+                s1, s2 = [(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)][edge]
+                if edge % 2:
+                    a, b = b, a
+                rows.append((s1 * a + 0.0, s2 * b + 0.0))
+            else:
+                w = r * (2.0 * v - 1.0)
+                rows.append([(r, w + 0.0), (-w + 0.0, r), (-r, -w + 0.0), (w + 0.0, -r)][edge])
+    return np.array(rows)
+
+
 class TestBallContains:
     def test_real_line_ball_is_the_open_interval(self, rng):
         p, r = 0.7, 1.3
@@ -282,6 +309,15 @@ class TestBallBoundary:
                 samples[k] = bad
                 with pytest.raises(error, match=message):
                     mk.BoundaryPolyline(spec.name, center, 1.7, samples)
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 11, 12, 13, 2000, 20000, 20003])
+    def test_polygons_equal_the_per_sample_reference_bitwise(self, n):
+        cases = [((0.0, 0.0), 1.0), ((-0.0, -0.0), 0.3), ((0.0, -0.0), 1e-300), ((0.0, 0.0), 1e300), ((1.5, -2.25), 2.7)]
+        for spec in (mk.Taxicab(), mk.Chebyshev()):
+            for center, r in cases:
+                c = np.array(center)
+                got = mk.ball_boundary(spec, center, r, n=n).samples
+                assert got.tobytes() == (c + per_sample_polygon(spec.name, r, n)).tobytes(), (spec.name, center, r)
 
     def test_counterclockwise_angular_order(self):
         for spec in [mk.Euclidean(), mk.Taxicab(), mk.Chebyshev()]:

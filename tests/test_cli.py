@@ -55,6 +55,25 @@ class TestDist:
             assert res.returncode == 2, (vertices, edges)
             assert res.stdout == b"" and b"must be an integer" in res.stderr, (vertices, edges)
 
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            {"vertices": 2, "edges": 5},
+            {"vertices": 2, "edges": [5]},
+            {"vertices": 2, "edges": [[0, 1, [1]]]},
+            {"vertices": 2, "edges": [[0, 1, 1.0]], "coords": 5},
+            {"vertices": 2, "edges": [[0, 1]]},
+        ],
+        ids=["edges-not-a-list", "edge-not-a-list", "length-not-a-number", "coords-not-a-list", "edge-of-two"],
+    )
+    def test_malformed_graph_file_is_usage_error(self, tmp_path, capsys, graph):
+        # each of these once ended in a TypeError traceback and exit 1
+        gfile = tmp_path / "g.json"
+        gfile.write_text(json.dumps(graph))
+        assert cli.main(["dist", "--metric", "graphpath", "--graph", str(gfile), "-p", "0", "-q", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_unknown_metric_is_usage_error(self):
         res = run_cli("dist", "--metric", "hyperbolic", "-p", "0,0", "-q", "1,1")
         assert res.returncode == 2
@@ -254,6 +273,12 @@ class TestIsometry:
             "--random", "16",
         )
         assert res.returncode == 0
+
+    def test_index_sample_under_a_plane_map_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text("0,1\n1,0\n")
+        assert cli.main(["isometry", "--map", '{"map": "swap_axes"}', "--matrix", str(path)]) == 2
+        assert capsys.readouterr().err == "error: expected a 2-dimensional point, got 1 coordinates\n"
 
     def test_bad_map_json_is_usage_error(self):
         res = run_cli("isometry", "--map", "{not json", "--metric", "euclidean", "--random", "4")

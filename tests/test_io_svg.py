@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import metrikos as mk
-from metrikos import fileio
+from metrikos import cli, fileio
 from metrikos.svg import SvgScene, Viewport, ball_figure
 
 
@@ -68,6 +69,15 @@ class TestGraphFiles:
         path.write_text(json.dumps({"vertices": 2, "edges": [[0, 1, -3.0]]}))
         with pytest.raises(ValueError):
             fileio.load_graph(path)
+
+    def test_edges_must_be_lists_of_three_with_numeric_lengths(self, tmp_path):
+        path = tmp_path / "g.json"
+        for edges in (5, [5], [[0, 1]], [[0, 1, 1.0, 2.0]], [[0, 1, [1]]], [[0, 1, "1.5"]], [[0, 1, True]], [[0, 1, None]]):
+            path.write_text(json.dumps({"vertices": 2, "edges": edges}))
+            with pytest.raises(ValueError, match="'edges' list of \\[u, v, length\\] lists"):
+                fileio.load_graph(path)
+        path.write_text(json.dumps({"vertices": 2, "edges": [[0, 1, 2]]}))
+        assert fileio.load_graph(path).edges == ((0, 1, 2.0),)
 
     def test_fractional_vertex_count_and_ids_rejected(self, tmp_path):
         path = tmp_path / "g.json"
@@ -145,6 +155,23 @@ class TestSvg:
         right, _ = vp.map((1.0, 0.0))
         assert left == pytest.approx(10.0)
         assert right == pytest.approx(90.0)
+
+    @pytest.mark.parametrize(
+        "metric, digest",
+        [
+            ("taxicab", "a79ff7c3be1d05884fbaf268f78d2385343287dcdb640ba25bafd1a6eafc59cb"),
+            ("chebyshev", "009235b80c90e9b05a09d4681c096e197b59a3647b17c07f6505cbfb1e34e836"),
+        ],
+    )
+    def test_ball_svg_bytes_are_pinned(self, tmp_path, capsys, metric, digest):
+        # The SHA-256 of the ball-svg file as the per-sample boundary loops
+        # and the per-pair formatting drew it. The Euclidean circle is left
+        # out: its samples come from np.cos and np.sin, whose last bits vary
+        # from one platform to another.
+        out = tmp_path / "ball.svg"
+        argv = ["ball-svg", "--metric", metric, "--radius", "1.3", "--center=0.75,-1.5", "--samples", "20000"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_boundary_vertices_land_in_figure(self):
         boundary = mk.ball_boundary(mk.Taxicab(), (0, 0), 1.0, n=256)

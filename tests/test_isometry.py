@@ -47,6 +47,42 @@ class TestNamedMaps:
         assert np.array_equal(mk.apply_map(mk.swap_axes(), (3, 7)), (7, 3))
 
 
+class TestImageFormula:
+    def test_rows_equal_per_point_images_bitwise(self, rng):
+        P = rng.normal(size=(200, 2)) * 10.0 ** rng.integers(-5, 6, size=(200, 1))
+        P[:4] = [(-0.0, -0.0), (-0.0, 1.0), (1.0, -0.0), (0.0, 0.0)]
+        maps = [mk.rotation(0.7), mk.rotation(math.pi / 2), mk.reflect_about_point(0.75, -2.0), mk.swap_axes(),
+                mk.PlaneMap(rng.normal(size=(2, 2)), rng.normal(size=2))]
+        for m in maps:
+            rows = m._images(P)
+            assert rows.tobytes() == np.array([mk.apply_map(m, p) for p in P]).tobytes()
+        S = sampling.random_sphere_points(rng, 200)
+        S[0] = (-0.0, 0.0, 1.0)
+        for m in [mk.rotation_about_axis((0.3, -1.0, 0.2), 2.1), mk.rotation_about_axis((0, 0, 1), math.pi / 2),
+                  mk.SphereMap(np.diag([1.0, -1.0, 1.0]))]:
+            assert m._images(S).tobytes() == np.array([mk.apply_map(m, p) for p in S]).tobytes()
+
+    def test_quarter_turn_images(self):
+        # cos(pi / 2) is 6.1e-17, not 0, and the products carry it through
+        c = math.cos(math.pi / 2)
+        img = mk.apply_map(mk.rotation(math.pi / 2), (1.0, 0.0))
+        assert img.tolist() == [c, 1.0]
+        img = mk.apply_map(mk.rotation(math.pi / 2), (3.0, -2.0))
+        assert img.tolist() == [c * 3.0 + 2.0, 3.0 + c * -2.0]
+
+    def test_bad_points_raise_the_point_errors(self):
+        for m, p, message in [
+            (mk.rotation(0.3), (1.0, 2.0, 3.0), "expected a 2-dimensional point"),
+            (mk.rotation(0.3), 5.0, "expected a 2-dimensional point"),
+            (mk.rotation(0.3), (math.nan, 0.0), "finite"),
+            (mk.SphereMap(np.eye(3)), (1.0, 0.0), "expected a 3-dimensional point"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                mk.apply_map(m, p)
+        with pytest.raises(mk.CarrierError, match="must be numbers"):
+            mk.apply_map(mk.rotation(0.3), ("1", "2"))
+
+
 class TestSphereMaps:
     def test_orthogonality_enforced(self):
         with pytest.raises(ValueError, match="orthogonal"):
@@ -108,6 +144,9 @@ class TestCompose:
     def test_mixed_kinds_rejected(self):
         with pytest.raises(TypeError):
             mk.compose(mk.identity_map(), mk.SphereMap(np.eye(3)))
+        for f, g in [(mk.identity_map(), 5), (5, mk.identity_map()), (5, 5), (None, None)]:
+            with pytest.raises(TypeError, match="same kind"):
+                mk.compose(f, g)
 
 
 def per_pair_isometry(m, spec, sample, tol=mk.ToleranceConfig()):
@@ -238,8 +277,33 @@ class TestIsIsometry:
 
     def test_dimension_mismatch_is_an_error(self, rng):
         sample = list(sampling.random_sphere_points(rng, 4))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected a 2-dimensional point, got 3"):
             mk.is_isometry(mk.rotation(0.5), mk.GreatCircle(), sample)
+
+    def test_empty_sample_is_an_isometry_on_every_carrier(self):
+        matrix = mk.MatrixMetric(mk.DistanceMatrix([[0.0, 1.0], [1.0, 0.0]]))
+        for m, spec in [
+            (mk.rotation(0.5), mk.Euclidean()),
+            (mk.rotation(0.5), mk.Taxicab()),
+            (mk.rotation_about_axis((0, 0, 1), 0.5), mk.GreatCircle()),
+            (mk.rotation(0.5), mk.GraphPath(mk.grid_graph(2, 2))),
+            (mk.rotation(0.5), matrix),
+        ]:
+            assert mk.is_isometry(m, spec, []) == (True, None), spec.name
+
+    def test_index_samples_under_a_plane_map_are_errors(self):
+        matrix = mk.MatrixMetric(mk.DistanceMatrix([[0.0, 1.0], [1.0, 0.0]]))
+        for spec, sample in [(matrix, [0, 1]), (mk.GraphPath(mk.grid_graph(3, 3)), [0, 4, 8]), (matrix, [1])]:
+            with pytest.raises(ValueError, match="expected a 2-dimensional point, got 1"):
+                mk.is_isometry(mk.rotation(0.5), spec, sample)
+
+    def test_overflowing_image_is_a_finiteness_error_without_a_warning(self):
+        # RuntimeWarnings are errors under the test configuration
+        with pytest.raises(ValueError, match="point coordinates must be finite"):
+            mk.is_isometry(mk.rotation(0.7), mk.Euclidean(), [(1.5e308, 1.5e308), (0.0, 0.0)])
+        big = mk.PlaneMap([[1e308, 1e308], [1.0, 0.0]], (0.0, 0.0))
+        with pytest.raises(ValueError, match="point coordinates must be finite"):
+            mk.is_isometry(big, mk.Taxicab(), [(2.0, 2.0), (-2.0, 1.0)])
 
 
 class TestTransitivity:

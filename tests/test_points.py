@@ -156,3 +156,16 @@ def test_one_coordinate_points_refuse_non_finite_scalars_and_points(bad):
             as_point(form, 1)
         with pytest.raises(ValueError, match="finite"):
             as_points([1.0, form], 1)
+
+
+@pytest.mark.parametrize("batch", [5, 2.5, True])
+def test_a_batch_that_is_not_a_sequence_is_refused(batch):
+    # iterating it was once a TypeError, which the CLI does not catch
+    with pytest.raises(ValueError, match="expected a sequence of points"):
+        as_points(batch)
+    with pytest.raises(ValueError, match="expected a sequence of points"):
+        as_points(None)
+    with pytest.raises(ValueError, match="expected a sequence of points"):
+        mk.WeightedGraph(2, [(0, 1, 1.0)], coords=batch)
+    # a generator is a sequence of points
+    assert as_points(p for p in [(0, 1), (2, 3)]).tolist() == [[0.0, 1.0], [2.0, 3.0]]
