@@ -18,6 +18,10 @@ from .core import Chebyshev, Euclidean, MetricSpec, Taxicab
 from .points import as_integer, as_point, as_points, finite_radius
 
 BOUNDARY_TOL = 1e-9
+# units of rounding, eps * max(|center|_inf, r), that a boundary sample may
+# be off the radius; samples over radii 1e-300 to 1.5e308 and centers up to
+# 1e300 were off by less than 2
+_BOUNDARY_ROUNDING_UNITS = 8
 MIN_BOUNDARY_SAMPLES = 8
 
 
@@ -132,7 +136,9 @@ class BoundaryPolyline:
     """Ordered samples tracing {x : d(center, x) = radius} for a plane metric.
 
     Every sample's distance to the center is checked against the radius at
-    construction (tolerance BOUNDARY_TOL).
+    construction. The tolerance is BOUNDARY_TOL, or 8 units of rounding of
+    the largest of the radius and the center's coordinates when that is
+    larger: the samples are rounded at that scale.
     """
 
     metric_tag: str
@@ -146,7 +152,9 @@ class BoundaryPolyline:
         samples = as_points(self.samples, dim=2)
         spec, _ = _SHAPES[self.metric_tag]
         d = spec._cross(self.center[None, :], samples)[0]
-        off = np.abs(d - self.radius) > BOUNDARY_TOL
+        scale = max(float(np.abs(self.center).max()), abs(self.radius))
+        tol = max(BOUNDARY_TOL, _BOUNDARY_ROUNDING_UNITS * math.ulp(1.0) * scale)  # eps first: no overflow
+        off = np.abs(d - self.radius) > tol
         if off.any():
             k = np.argmax(off)
             raise ValueError(f"boundary sample {samples[k]} is at distance {d[k]}, expected {self.radius}")

@@ -36,10 +36,11 @@ from .svg import ball_figure
 MAX_PRINTED_WITNESSES = 10
 
 # Input caps, checked before anything is built: certifying N points takes
-# O(N^3) time and O(N^2) memory, a W x H grid holds W * H vertices, random
-# points hold --dim coordinates each, and a ball boundary --samples points.
+# O(N^3) time and O(N^2) memory, a W x H grid holds W * H vertices (as many
+# as a graph file may), random points hold --dim coordinates each, and a
+# ball boundary --samples points.
 MAX_RANDOM_POINTS = 2048
-MAX_GRID_VERTICES = 250_000
+MAX_GRID_VERTICES = fileio.MAX_GRAPH_VERTICES
 MAX_DIM = 256
 MAX_BOUNDARY_SAMPLES = 100_000
 

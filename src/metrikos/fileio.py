@@ -20,6 +20,11 @@ from .core import DistanceMatrix
 from .graphs import WeightedGraph
 from .points import as_integer, as_points
 
+# Graph files are capped as the CLI's grids are: at most this many vertices,
+# and at most the edges of the largest grid under it, the 500 x 500 one.
+MAX_GRAPH_VERTICES = 250_000
+MAX_GRAPH_EDGES = 2 * (MAX_GRAPH_VERTICES - math.isqrt(MAX_GRAPH_VERTICES))
+
 
 def load_points(path) -> tuple[int, np.ndarray]:
     """Read a point-set JSON file; returns (dim, points), an (n, dim) array."""
@@ -42,14 +47,21 @@ def dump_points(path, points) -> None:
 
 
 def load_graph(path) -> WeightedGraph:
-    """Read a graph JSON file into a WeightedGraph."""
+    """Read a graph JSON file into a WeightedGraph. A file past
+    MAX_GRAPH_VERTICES vertices or MAX_GRAPH_EDGES edges is refused before
+    the graph is built."""
     with open(path) as f:
         data = json.load(f)
     edges = data.get("edges") if isinstance(data, dict) else None
     if not (isinstance(edges, list) and "vertices" in data
             and all(isinstance(e, list) and len(e) == 3 and type(e[2]) in (int, float) for e in edges)):
         raise ValueError(f"{path}: expected an object with 'vertices' and an 'edges' list of [u, v, length] lists")
-    return WeightedGraph(data["vertices"], [tuple(e) for e in edges], coords=data.get("coords"))
+    vertices = as_integer(data["vertices"], "vertex_count")
+    if vertices > MAX_GRAPH_VERTICES:
+        raise ValueError(f"{path}: a graph of {vertices} vertices is past the cap of {MAX_GRAPH_VERTICES} vertices")
+    if len(edges) > MAX_GRAPH_EDGES:
+        raise ValueError(f"{path}: a graph of {len(edges)} edges is past the cap of {MAX_GRAPH_EDGES} edges")
+    return WeightedGraph(vertices, [tuple(e) for e in edges], coords=data.get("coords"))
 
 
 def load_matrix_csv(path) -> DistanceMatrix:

@@ -37,25 +37,26 @@ class WeightedGraph:
         if vertex_count <= 0:
             raise ValueError(f"vertex_count must be positive, got {vertex_count}")
         self.vertex_count = vertex_count
-        seen = set()
-        cleaned = []
-        for e in edges:
-            u, v, length = e
-            if not (type(u) is int and type(v) is int):
-                u, v = (as_integer(w, f"vertex id in edge {e}") for w in (u, v))
-            length = float(length)
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"edge {e} references a vertex outside 0..{vertex_count - 1}")
-            if u == v:
-                raise ValueError(f"loop edge at vertex {u} is not allowed")
-            if not (length > 0 and math.isfinite(length)):
-                raise ValueError(f"edge {e} must have a finite positive length")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate undirected edge {key}")
-            seen.add(key)
-            cleaned.append((u, v, length))
-        self.edges = tuple(cleaned)
+        # one pass reads the edges, up to the first one it cannot read; the
+        # edges before it are checked by array passes
+        raw, us, vs, lengths, unread = [], [], [], [], None
+        try:
+            for e in edges:
+                u, v, length = e
+                if not (type(u) is int and type(v) is int):
+                    u, v = (as_integer(w, f"vertex id in edge {e}") for w in (u, v))
+                lengths.append(float(length))
+                us.append(u)
+                vs.append(v)
+                raw.append(e)
+        except Exception as err:
+            unread = err
+        fault = _first_edge_fault(vertex_count, us, vs, lengths, raw)
+        if fault is not None:
+            raise ValueError(fault)
+        if unread is not None:
+            raise unread
+        self.edges = tuple(zip(us, vs, lengths))
         adj: list[list[tuple[int, float]]] = [[] for _ in range(vertex_count)]
         for u, v, length in self.edges:
             adj[u].append((v, length))
@@ -125,6 +126,43 @@ class WeightedGraph:
         return d
 
 
+def _first_edge_fault(n: int, us: list, vs: list, lengths: list, raw: list) -> str | None:
+    """The error message for the first edge ``raw[k]``, in input order, that
+    references a vertex outside 0..n-1, is a loop, has a length that is not
+    finite and positive, or repeats an earlier undirected edge, checked in
+    that order; None when every edge holds. Edge k has the int ids ``us[k]``
+    and ``vs[k]`` and the float length ``lengths[k]``."""
+    if not raw:
+        return None
+    try:
+        ids = np.array([us, vs], dtype=np.int64)
+    except OverflowError:  # an id past int64, which the range check refuses
+        ids = np.array([us, vs], dtype=object)
+    outside = ((ids < 0) | (ids >= n)).any(0)
+    cut = int(outside.argmax()) if outside.any() else len(raw)
+    # the edges before the first one out of range, whose ids all fit int64
+    u, v = ids[:, :cut].astype(np.int64)
+    length = np.array(lengths[:cut])
+    loop = u == v
+    bad_length = ~((length > 0) & np.isfinite(length))
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((hi, lo))  # stable: equal keys keep input order
+    lo, hi = lo[order], hi[order]
+    repeat = np.zeros(cut, dtype=bool)
+    repeat[order[1:][(lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])]] = True
+    faulty = loop | bad_length | repeat
+    if faulty.any():
+        k = int(faulty.argmax())
+        if loop[k]:
+            return f"loop edge at vertex {us[k]} is not allowed"
+        if bad_length[k]:
+            return f"edge {raw[k]} must have a finite positive length"
+        return f"duplicate undirected edge {(min(us[k], vs[k]), max(us[k], vs[k]))}"
+    if cut < len(raw):
+        return f"edge {raw[cut]} references a vertex outside 0..{n - 1}"
+    return None
+
+
 def no_path_error(u: int, v: int) -> UnreachableError:
     """The error for a vertex pair that no path joins."""
     return UnreachableError(
@@ -151,17 +189,12 @@ def grid_graph(width: int, height: int) -> WeightedGraph:
     width, height = as_integer(width, "grid width"), as_integer(height, "grid height")
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be at least 1")
-
-    def vid(i, j):
-        return j * width + i
-
-    edges = []
-    for j in range(height):
-        for i in range(width):
-            if i + 1 < width:
-                edges.append((vid(i, j), vid(i + 1, j), 1))
-            if j + 1 < height:
-                edges.append((vid(i, j), vid(i, j + 1), 1))
+    # for each vertex in row-major order, its right edge and then its down edge
+    ids = np.arange(width * height)
+    tails = np.repeat(ids, 2)
+    heads = tails + np.tile([1, width], width * height)
+    keep = np.column_stack([ids % width + 1 < width, ids // width + 1 < height]).ravel()
+    edges = list(zip(tails[keep].tolist(), heads[keep].tolist(), itertools.repeat(1)))
     # built as floats, so as_points copies them once and casts nothing
     xs, ys = np.arange(width, dtype=float), np.arange(height, dtype=float)
     coords = np.column_stack([np.tile(xs, height), np.repeat(ys, width)])

@@ -3,7 +3,9 @@
 Figures are data-space geometry mapped through a fixed viewport: content is
 centered with a 10% margin, aspect preserved, and the y-axis flipped so that
 mathematical "up" points up on screen. Output is plain XML text built from
-formatted floats, so identical inputs give byte-identical files.
+formatted floats, so identical inputs give byte-identical files. A polygon's
+text is one ``%`` format over its whole (n, 2) pixel array, with no Python
+step per sample.
 """
 
 from __future__ import annotations
@@ -61,7 +63,9 @@ class SvgScene:
     elements: list[str] = field(default_factory=list)
 
     def add_polygon(self, pixel_points, stroke: str = "#1f4e8c", stroke_width: float = 1.5):
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pixel_points)
+        # one format over the (n, 2) array: "%.2f" rounds as _fmt does
+        P = np.asarray(pixel_points, dtype=float)
+        pts = ("%.2f,%.2f " * len(P) % tuple(P.ravel().tolist()))[:-1]
         self.elements.append(
             f'<polygon points="{pts}" fill="none" stroke="{stroke}" stroke-width="{stroke_width}"/>'
         )

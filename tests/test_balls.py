@@ -310,6 +310,29 @@ class TestBallBoundary:
                 with pytest.raises(error, match=message):
                     mk.BoundaryPolyline(spec.name, center, 1.7, samples)
 
+    @pytest.mark.parametrize("radius", [1e8, 1e10, 1e200, 1e300, 1.5e308])
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (-0.0, -0.0), (0.75, -1.5), (1e8, 0.0), (-1e8, 3e7)])
+    def test_large_boundaries_are_drawn(self, center, radius):
+        # an absolute tolerance of 1e-9 refused these: a Euclidean sample at
+        # radius 1e8 is off by 1e-8, since the samples round at the scale of
+        # their coordinates, and the tolerance now scales with it
+        tol = 8 * np.finfo(float).eps * max(np.abs(center).max(), radius)
+        for spec in (mk.Euclidean(), mk.Taxicab(), mk.Chebyshev()):
+            for n in (8, 13, 2000, 20003):
+                b = mk.ball_boundary(spec, center, radius, n=n)
+                d = spec._cross(np.array([center]), b.samples)[0]
+                assert np.abs(d - radius).max() <= tol
+            samples = b.samples.copy()
+            samples[5] = center + (samples[5] - center) * (1 + 1e-13)
+            with pytest.raises(ValueError, match="boundary sample"):
+                mk.BoundaryPolyline(spec.name, center, radius, samples)
+
+    def test_off_center_unit_boundary_is_drawn(self):
+        # its Euclidean samples are 0.99999999354 or so from the center
+        for spec in (mk.Euclidean(), mk.Taxicab(), mk.Chebyshev()):
+            b = mk.ball_boundary(spec, (1e8, 0.0), 1.0, n=20000)
+            assert np.abs(spec._cross(b.center[None, :], b.samples)[0] - 1.0).max() <= 8 * np.finfo(float).eps * 1e8
+
     @pytest.mark.parametrize("n", [8, 9, 10, 11, 12, 13, 2000, 20000, 20003])
     def test_polygons_equal_the_per_sample_reference_bitwise(self, n):
         cases = [((0.0, 0.0), 1.0), ((-0.0, -0.0), 0.3), ((0.0, -0.0), 1e-300), ((0.0, 0.0), 1e300), ((1.5, -2.25), 2.7)]

@@ -74,6 +74,39 @@ class TestDist:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
 
+    def test_graph_file_at_the_cap_is_read(self, tmp_path, capsys):
+        gfile = tmp_path / "g.json"
+        argv = ["dist", "--metric", "graphpath", "--graph", str(gfile), "-p", "0", "-q", "0"]
+        gfile.write_text(json.dumps({"vertices": fileio.MAX_GRAPH_VERTICES, "edges": []}))
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "0\n"
+        # as many edges as the 500 x 500 grid has reach the edge checks
+        assert fileio.MAX_GRAPH_VERTICES == cli.MAX_GRID_VERTICES == 500 * 500
+        assert fileio.MAX_GRAPH_EDGES == 2 * 500 * 499
+        gfile.write_text(json.dumps({"vertices": 3, "edges": [[1, 2, 1.0]] * fileio.MAX_GRAPH_EDGES}))
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: duplicate undirected edge (1, 2)\n"
+
+    def test_graph_file_past_the_cap_is_refused_before_building(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a graph past the cap")
+
+        monkeypatch.setattr(fileio, "WeightedGraph", refuse)
+        gfile = tmp_path / "g.json"
+        argv = ["dist", "--metric", "graphpath", "--graph", str(gfile), "-p", "0", "-q", "0"]
+        for graph, message in [
+            ({"vertices": fileio.MAX_GRAPH_VERTICES + 1, "edges": []},
+             f"a graph of {fileio.MAX_GRAPH_VERTICES + 1} vertices is past the cap of {fileio.MAX_GRAPH_VERTICES} vertices"),
+            ({"vertices": 2_000_000, "edges": []},
+             f"a graph of 2000000 vertices is past the cap of {fileio.MAX_GRAPH_VERTICES} vertices"),
+            ({"vertices": 3, "edges": [[1, 2, 1.0]] * (fileio.MAX_GRAPH_EDGES + 1)},
+             f"a graph of {fileio.MAX_GRAPH_EDGES + 1} edges is past the cap of {fileio.MAX_GRAPH_EDGES} edges"),
+        ]:
+            gfile.write_text(json.dumps(graph))
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"error: {gfile}: {message}\n"
+
     def test_unknown_metric_is_usage_error(self):
         res = run_cli("dist", "--metric", "hyperbolic", "-p", "0,0", "-q", "1,1")
         assert res.returncode == 2
@@ -220,6 +253,14 @@ class TestBallSvg:
             want = "finite" if radius == "inf" else "positive"
             assert res.stderr == f"error: radius must be {want}, got {float(radius)}\n".encode(), radius
         assert not out.exists()
+
+    def test_large_radius_and_far_center_are_drawn(self, tmp_path, capsys):
+        # both exited 2 with "boundary sample ... is at distance ..."
+        out = tmp_path / "big.svg"
+        for args in (["--radius", "1e8"], ["--radius", "1", "--center=1e8,0"]):
+            for metric in ("euclidean", "taxicab", "chebyshev"):
+                assert cli.main(["ball-svg", "--metric", metric, *args, "--out", str(out)]) == 0, (metric, args)
+                assert capsys.readouterr().err == ""
 
     def test_samples_out_of_range_are_refused_before_tracing(self, monkeypatch, capsys, tmp_path):
         def refuse(*args, **kwargs):

@@ -7,7 +7,7 @@ import metrikos as mk
 from metrikos import sampling
 from metrikos import graphs
 from metrikos.graphs import grid_vertex
-from metrikos.points import as_index, as_point
+from metrikos.points import as_index, as_integer, as_point
 
 
 def simple_path_lengths(g, u, v) -> list:
@@ -28,6 +28,186 @@ def simple_path_lengths(g, u, v) -> list:
 
     walk(u, 0.0, {u})
     return found
+
+
+def per_edge_graph(vertex_count, edges):
+    """The edge checks one edge at a time, as WeightedGraph once made them:
+    its ``edges`` and ``_adj``, or the first error in input order."""
+    seen = set()
+    cleaned = []
+    for e in edges:
+        u, v, length = e
+        if not (type(u) is int and type(v) is int):
+            u, v = (as_integer(w, f"vertex id in edge {e}") for w in (u, v))
+        length = float(length)
+        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+            raise ValueError(f"edge {e} references a vertex outside 0..{vertex_count - 1}")
+        if u == v:
+            raise ValueError(f"loop edge at vertex {u} is not allowed")
+        if not (length > 0 and math.isfinite(length)):
+            raise ValueError(f"edge {e} must have a finite positive length")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ValueError(f"duplicate undirected edge {key}")
+        seen.add(key)
+        cleaned.append((u, v, length))
+    adj = [[] for _ in range(vertex_count)]
+    for u, v, length in cleaned:
+        adj[u].append((v, length))
+        adj[v].append((u, length))
+    return tuple(cleaned), tuple(tuple(nbrs) for nbrs in adj)
+
+
+def per_cell_grid_edges(width, height):
+    """A grid's edge list one lattice point at a time, as grid_graph once
+    built it."""
+    edges = []
+    for j in range(height):
+        for i in range(width):
+            if i + 1 < width:
+                edges.append((j * width + i, j * width + i + 1, 1))
+            if j + 1 < height:
+                edges.append((j * width + i, (j + 1) * width + i, 1))
+    return edges
+
+
+def outcome(build):
+    """What ``build()`` returns, or the type and message of its error."""
+    try:
+        return build()
+    except Exception as err:
+        return type(err), str(err)
+
+
+def graph_outcome(vertex_count, edges):
+    def build():
+        g = mk.WeightedGraph(vertex_count, edges)
+        return g.edges, g._adj
+
+    return outcome(build)
+
+
+def random_edges(rng, n, m):
+    """m distinct undirected edges of n vertices, each in a random
+    orientation, with lengths of mixed kinds."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = rng.choice(len(pairs), size=min(m, len(pairs)), replace=False)
+    edges = []
+    for k in chosen.tolist():
+        u, v = pairs[k] if rng.random() < 0.5 else pairs[k][::-1]
+        length = [1, 2.5, float(rng.uniform(0.1, 9.0)), np.float32(0.75), 3.0][int(rng.integers(0, 5))]
+        edges.append((u, v, length))
+    return edges
+
+
+def earlier_edge(rng, before):
+    """One of the (u, v, length) edges in ``before``; the first one always is."""
+    edges = [e for e in before if isinstance(e, tuple) and len(e) == 3]
+    return edges[int(rng.integers(0, len(edges)))]
+
+
+# each takes (rng, n, the edges before it, at least one) and gives one faulty edge
+EDGE_FAULTS = {
+    "id-past-n": lambda rng, n, before: (0, n, 1.0),
+    "id-far-past-n": lambda rng, n, before: (n + 7, 1, 1.0),
+    "id-negative": lambda rng, n, before: (-1, 1, 1.0),
+    "id-past-int64": lambda rng, n, before: (2**63, 0, 1.0),
+    "id-far-past-int64": lambda rng, n, before: (1, 2**70, 1.0),
+    "id-far-below-int64": lambda rng, n, before: (-(2**70), 1, 1.0),
+    "loop": lambda rng, n, before: (2, 2, 1.0),
+    "length-zero": lambda rng, n, before: (0, 1, 0.0),
+    "length-minus-one": lambda rng, n, before: (1, 0, -1),
+    "length-nan": lambda rng, n, before: (0, 2, math.nan),
+    "length-inf": lambda rng, n, before: (2, 0, math.inf),
+    "length-minus-inf": lambda rng, n, before: (2, 1, -math.inf),
+    "length-unreadable": lambda rng, n, before: (0, 1, "one"),
+    "length-none": lambda rng, n, before: (0, 1, None),
+    "duplicate": lambda rng, n, before: (*earlier_edge(rng, before)[:2], 4.0),
+    "duplicate-reversed": lambda rng, n, before: (*earlier_edge(rng, before)[1::-1], 4.0),
+    # faults of two kinds in one edge: the first in check order wins
+    "loop-past-n": lambda rng, n, before: (n, n, 1.0),
+    "length-nan-past-n": lambda rng, n, before: (0, n, math.nan),
+    "loop-length-minus-one": lambda rng, n, before: (1, 1, -1.0),
+    "duplicate-length-zero": lambda rng, n, before: (*earlier_edge(rng, before)[:2], 0.0),
+    "id-bool": lambda rng, n, before: (True, 2, 1.0),
+    "id-numpy-bool": lambda rng, n, before: (0, np.bool_(False), 1.0),
+    "id-fractional": lambda rng, n, before: (0, 1.5, 1.0),
+    "id-string": lambda rng, n, before: ("0", 1, 1.0),
+    "edge-of-two": lambda rng, n, before: (0, 1),
+    "edge-of-four": lambda rng, n, before: (0, 1, 1.0, 2.0),
+    "edge-not-iterable": lambda rng, n, before: 5,
+}
+
+# ids that are read as the plain int they equal
+READABLE_IDS = [np.int64(1), np.int32(1), np.uint8(1), 1.0, np.float32(1.0), np.float64(1.0)]
+
+
+class TestEdgeChecksMatchThePerEdgeReference:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_valid_lists(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            n = int(rng.integers(2, 40))
+            edges = random_edges(rng, n, int(rng.integers(0, 3 * n)))
+            # some ids in other readable forms
+            edges = [
+                (READABLE_IDS[int(rng.integers(0, 6))] * u if rng.random() < 0.2 else u, v, length)
+                for u, v, length in edges
+            ]
+            want = per_edge_graph(n, edges)
+            assert graph_outcome(n, edges) == want
+            g = mk.WeightedGraph(n, edges)
+            assert all(type(x) is int for u, v, _ in g.edges for x in (u, v))
+            assert all(type(length) is float for _, _, length in g.edges)
+
+    @pytest.mark.parametrize("fault", sorted(EDGE_FAULTS))
+    def test_each_fault(self, fault):
+        rng = np.random.default_rng(sorted(EDGE_FAULTS).index(fault))
+        for _ in range(20):
+            n = int(rng.integers(3, 30))
+            edges = random_edges(rng, n, int(rng.integers(1, 2 * n)))
+            k = int(rng.integers(1, len(edges) + 1))
+            edges.insert(k, EDGE_FAULTS[fault](rng, n, edges[:k]))
+            want = outcome(lambda: per_edge_graph(n, edges))
+            assert isinstance(want[0], type), "the planted edge is faulty"
+            assert graph_outcome(n, edges) == want, (fault, edges)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_several_faults(self, seed):
+        # the first fault in input order wins, whatever its kind; a read
+        # error after a checked fault does not hide it
+        rng = np.random.default_rng(100 + seed)
+        kinds = sorted(EDGE_FAULTS)
+        for _ in range(40):
+            n = int(rng.integers(3, 30))
+            edges = random_edges(rng, n, int(rng.integers(1, 2 * n)))
+            for kind in rng.choice(kinds, size=int(rng.integers(2, 4))).tolist():
+                k = int(rng.integers(1, len(edges) + 1))
+                edges.insert(k, EDGE_FAULTS[kind](rng, n, edges[:k]))
+            assert graph_outcome(n, edges) == outcome(lambda: per_edge_graph(n, edges)), edges
+
+    def test_a_read_error_after_a_fault(self):
+        for first in ((0, 0, 1.0), (0, 9, 1.0), (0, 1, -1.0), (1, 0, 2.0)):
+            for unread in ((0, 1), (0, 1.5, 1.0), (0, 1, "x"), 7):
+                edges = [(0, 1, 1.0), first, (1, 2, 1.0), unread]
+                want = outcome(lambda: per_edge_graph(3, edges))
+                assert want[0] is ValueError and graph_outcome(3, edges) == want
+                # and with the order swapped, the read error
+                edges = [(0, 1, 1.0), unread, first]
+                assert graph_outcome(3, edges) == outcome(lambda: per_edge_graph(3, edges))
+
+    def test_edges_from_an_iterator(self):
+        edges = [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 1.5)]
+        assert graph_outcome(3, iter(edges)) == per_edge_graph(3, edges)
+        assert graph_outcome(3, (e for e in edges + [(0, 0, 1.0)])) == (ValueError, "loop edge at vertex 0 is not allowed")
+        assert graph_outcome(3, 5) == outcome(lambda: per_edge_graph(3, 5))
+
+    @pytest.mark.parametrize("size", [(1, 1), (1, 9), (9, 1), (3, 4), (136, 110)])
+    def test_grid_edges_in_the_per_cell_order(self, size):
+        g = mk.grid_graph(*size)
+        want = per_cell_grid_edges(*size)
+        assert g.edges == tuple(want)
+        assert (g.edges, g._adj) == per_edge_graph(size[0] * size[1], want)
 
 
 class TestWeightedGraph:

@@ -10,6 +10,24 @@ from metrikos import cli, fileio
 from metrikos.svg import SvgScene, Viewport, ball_figure
 
 
+def per_pair_points(pixel_points) -> str:
+    """A polygon's points text one pair at a time, as the SVG writer once
+    built it: each coordinate a numpy scalar in an f-string."""
+    return " ".join(f"{x:.2f},{y:.2f}" for x, y in pixel_points)
+
+
+def ball_svg_digest(tmp_path, metric, samples) -> str:
+    """The SHA-256 of the ball-svg file of radius 1.3 around (0.75, -1.5)."""
+    out = tmp_path / "ball.svg"
+    argv = ["ball-svg", "--metric", metric, "--radius", "1.3", "--center=0.75,-1.5", "--samples", str(samples)]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def polygon_points(scene: SvgScene) -> str:
+    return scene.elements[0].split('points="')[1].split('"')[0]
+
+
 class TestPointSetFiles:
     def test_round_trip(self, tmp_path, rng):
         pts = [rng.uniform(-2, 2, size=3) for _ in range(5)]
@@ -167,11 +185,22 @@ class TestSvg:
         # The SHA-256 of the ball-svg file as the per-sample boundary loops
         # and the per-pair formatting drew it. The Euclidean circle is left
         # out: its samples come from np.cos and np.sin, whose last bits vary
-        # from one platform to another.
-        out = tmp_path / "ball.svg"
-        argv = ["ball-svg", "--metric", metric, "--radius", "1.3", "--center=0.75,-1.5", "--samples", "20000"]
-        assert cli.main([*argv, "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        # from one platform to another; test_euclidean_figures_match_the_per_pair_text
+        # compares it with the per-pair text instead.
+        assert ball_svg_digest(tmp_path, metric, 20000) == digest
+
+    @pytest.mark.parametrize(
+        "metric, samples, digest",
+        [
+            ("taxicab", 8, "1cab4f6388385fbf6ef0b7841efcbabaa149df87d6a1d527086fe07724e46972"),
+            ("taxicab", 2000, "a5bcf035df23e529a13ea38148618c97a751e2f8bbb0f09d9ba9526a4b29c6e2"),
+            ("chebyshev", 8, "0d57d8faedee0d503df30d69cbea9b7796b85ad013325119cd33014feda48b5f"),
+            ("chebyshev", 2000, "5dfa067568ff820ca53d74b0b82af871fac8175e5d4e955abc58cc0c65f49516"),
+        ],
+    )
+    def test_ball_svg_bytes_at_fewer_samples_are_pinned(self, tmp_path, capsys, metric, samples, digest):
+        # the same figures, drawn the same way, at 8 and 2,000 samples
+        assert ball_svg_digest(tmp_path, metric, samples) == digest
 
     def test_boundary_vertices_land_in_figure(self):
         boundary = mk.ball_boundary(mk.Taxicab(), (0, 0), 1.0, n=256)
@@ -183,3 +212,41 @@ class TestSvg:
         for vertex in [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]:
             px, py = vp.map(vertex)
             assert f"{px:.2f},{py:.2f}" in xml
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [-0.0, 0.0],
+            [-0.004, -0.005, -0.0049999, 0.004, -0.006],
+            [0.125, 0.375, -0.125, 0.005, 1.005, 2.675, -2.675, 1.115, 0.045],
+            [1e6, -1e6, 999999.995, 123456.785, 5e5 + 0.125],
+            [255.99999999, 256.0, 51.2, 460.8, 1e-300, -1e-300],
+        ],
+        ids=["signed-zero", "rounds-to-minus-zero", "halves-and-near-halves", "1e6-pixels", "viewport-values"],
+    )
+    def test_polygon_text_matches_the_per_pair_text(self, values):
+        # every value in either coordinate, in every pairing
+        v = np.array(values)
+        P = np.column_stack([np.repeat(v, len(v)), np.tile(v, len(v))])
+        scene = SvgScene()
+        scene.add_polygon(P)
+        assert polygon_points(scene) == per_pair_points(P)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 20003])
+    def test_polygon_text_matches_at_any_length(self, n, rng):
+        P = rng.uniform(-1e6, 1e6, size=(n, 2)) * rng.choice([1e-6, 1e-3, 1.0], size=(n, 2))
+        scene = SvgScene()
+        scene.add_polygon(P)
+        assert polygon_points(scene) == per_pair_points(P)
+        assert scene.elements[0] == (
+            f'<polygon points="{per_pair_points(P)}" fill="none" stroke="#1f4e8c" stroke-width="1.5"/>'
+        )
+
+    @pytest.mark.parametrize("n", [8, 2000, 20000])
+    def test_euclidean_figures_match_the_per_pair_text(self, n):
+        for center, radius in [((0.0, 0.0), 1.0), ((-0.0, -0.0), 0.125), ((0.75, -1.5), 1.3), ((-3.0, 2.675), 2.675), ((1e8, 0.0), 1.0)]:
+            boundary = mk.ball_boundary(mk.Euclidean(), center, radius, n=n)
+            samples = boundary.samples
+            xs, ys = np.append(samples[:, 0], center[0]), np.append(samples[:, 1], center[1])
+            vp = Viewport.fit(xs.min(), xs.max(), ys.min(), ys.max(), 512, 512)
+            assert polygon_points(ball_figure(boundary)) == per_pair_points(vp.map_rows(samples)), (center, radius)
