@@ -11,13 +11,16 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import UnreachableError
 from .points import as_index, as_integer, as_points, hypot_rows
+
+# A graph keeps its SSSP rows up to this many floats in all (8 MiB), and
+# always the newest row; past it the oldest row goes first.
+SSSP_CACHE_FLOATS = 2**20
 
 
 class WeightedGraph:
@@ -26,9 +29,13 @@ class WeightedGraph:
     Edges are (u, v, length) triples over vertex ids 0..vertex_count-1; loops,
     nonpositive lengths, and duplicate undirected edges are rejected. The
     vertex count and the ids are integers, checked as ``as_integer`` checks
-    them, so no id is silently truncated. ``coords`` optionally embeds each
-    vertex (used by grids): one point per vertex, the rows of an (n, d)
-    array. Shortest-path results are memoized per source; the graph must
+    them, so no id is silently truncated. The checked edges are kept once,
+    in input order, as an int64 (2, m) id array and a float64 (m,) length
+    array; ``edges`` reads them back as (int, int, float) triples, and the
+    adjacency lists that Dijkstra walks are built from them. ``coords``
+    optionally embeds each vertex (used by grids): one point per vertex, the
+    rows of an (n, d) array. Shortest-path rows are memoized per source, up
+    to ``SSSP_CACHE_FLOATS`` floats in all, oldest out first; the graph must
     not be mutated after construction.
     """
 
@@ -51,14 +58,18 @@ class WeightedGraph:
                 raw.append(e)
         except Exception as err:
             unread = err
-        fault = _first_edge_fault(vertex_count, us, vs, lengths, raw)
+        try:
+            self._ids = np.array([us, vs], dtype=np.int64)
+        except OverflowError:  # an id past int64, which the range check refuses
+            self._ids = np.array([us, vs], dtype=object)
+        self._lengths = np.array(lengths, dtype=float)
+        fault = _first_edge_fault(vertex_count, self._ids, self._lengths, raw)
         if fault is not None:
             raise ValueError(fault)
         if unread is not None:
             raise unread
-        self.edges = tuple(zip(us, vs, lengths))
         adj: list[list[tuple[int, float]]] = [[] for _ in range(vertex_count)]
-        for u, v, length in self.edges:
+        for u, v, length in zip(us, vs, lengths):
             adj[u].append((v, length))
             adj[v].append((u, length))
         self._adj = tuple(tuple(nbrs) for nbrs in adj)
@@ -69,13 +80,10 @@ class WeightedGraph:
         self.coords = coords
         self._sssp_cache: dict[int, np.ndarray] = {}
 
-    @cached_property
-    def _integer_length_total(self) -> int | None:
-        """The sum of the edge lengths when every one is an integer, else
-        None; computed once, since the graph is not mutated."""
-        if not all(length.is_integer() for _, _, length in self.edges):
-            return None
-        return sum(int(length) for _, _, length in self.edges)
+    @property
+    def edges(self) -> tuple:
+        """The (u, v, length) triples in input order, as ints and floats."""
+        return tuple(zip(*self._ids.tolist(), self._lengths.tolist()))
 
     def check_vertex(self, u) -> int:
         return as_index(u, self.vertex_count, "vertex id")
@@ -85,7 +93,9 @@ class WeightedGraph:
 
         Label-setting Dijkstra with a binary heap over Python lists; exact
         for the nonnegative weights enforced at construction. The result is
-        a read-only float64 array, memoized per source.
+        a read-only float64 array, memoized per source. A distance past the
+        float range raises ValueError rather than reading as unreachable:
+        it shows as an edge with one finite and one infinite end.
         """
         # an int with a cached row was checked when the row was built; True
         # and 1.0 hash like 1, so every other type is checked before the lookup
@@ -110,8 +120,21 @@ class WeightedGraph:
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
         row = np.array(dist)
+        unreached = np.isinf(row)
+        if unreached.any():
+            # an edge from a reached vertex always reaches its other end,
+            # unless d + w rounded to inf: then the distance overflowed
+            ends = unreached[self._ids]
+            over = ends[0] != ends[1]
+            if over.any():
+                k = int(over.argmax())
+                far = self._ids[int(ends[1, k]), k]
+                raise ValueError(f"the distance from vertex {source} to vertex {far} overflows the float range")
         row.setflags(write=False)
-        self._sssp_cache[source] = row
+        cache = self._sssp_cache
+        while cache and (len(cache) + 1) * self.vertex_count > SSSP_CACHE_FLOATS:
+            del cache[next(iter(cache))]
+        cache[source] = row
         return row
 
     def distance(self, u: int, v: int) -> float:
@@ -126,23 +149,18 @@ class WeightedGraph:
         return d
 
 
-def _first_edge_fault(n: int, us: list, vs: list, lengths: list, raw: list) -> str | None:
+def _first_edge_fault(n: int, ids: np.ndarray, lengths: np.ndarray, raw: list) -> str | None:
     """The error message for the first edge ``raw[k]``, in input order, that
     references a vertex outside 0..n-1, is a loop, has a length that is not
     finite and positive, or repeats an earlier undirected edge, checked in
-    that order; None when every edge holds. Edge k has the int ids ``us[k]``
-    and ``vs[k]`` and the float length ``lengths[k]``."""
-    if not raw:
-        return None
-    try:
-        ids = np.array([us, vs], dtype=np.int64)
-    except OverflowError:  # an id past int64, which the range check refuses
-        ids = np.array([us, vs], dtype=object)
+    that order; None when every edge holds. Edge k has the ids ``ids[:, k]``
+    (an object array when one id is past int64) and the length
+    ``lengths[k]``."""
     outside = ((ids < 0) | (ids >= n)).any(0)
     cut = int(outside.argmax()) if outside.any() else len(raw)
     # the edges before the first one out of range, whose ids all fit int64
     u, v = ids[:, :cut].astype(np.int64)
-    length = np.array(lengths[:cut])
+    length = lengths[:cut]
     loop = u == v
     bad_length = ~((length > 0) & np.isfinite(length))
     lo, hi = np.minimum(u, v), np.maximum(u, v)
@@ -154,10 +172,10 @@ def _first_edge_fault(n: int, us: list, vs: list, lengths: list, raw: list) -> s
     if faulty.any():
         k = int(faulty.argmax())
         if loop[k]:
-            return f"loop edge at vertex {us[k]} is not allowed"
+            return f"loop edge at vertex {u[k]} is not allowed"
         if bad_length[k]:
             return f"edge {raw[k]} must have a finite positive length"
-        return f"duplicate undirected edge {(min(us[k], vs[k]), max(us[k], vs[k]))}"
+        return f"duplicate undirected edge {tuple(sorted(ids[:, k].tolist()))}"
     if cut < len(raw):
         return f"edge {raw[cut]} references a vertex outside 0..{n - 1}"
     return None
@@ -214,33 +232,38 @@ def count_geodesics(g: WeightedGraph, u, v) -> int:
     rather than compared against a tolerance. The total edge length must
     also be below 2**53: every shortest path is at most that long, so every
     distance and every sum compared below is an exact float64 integer.
-    Larger graphs are refused with ValueError.
+    Larger graphs are refused with ValueError. The float sum of the lengths
+    decides the bound exactly: it is exact below 2**53, and once the true
+    sum reaches 2**53 no rounding takes it below.
 
-    Counts as in Brandes' betweenness algorithm, by dynamic programming over
-    the cached ``single_source(u)`` row: sigma(u) = 1, and in order of
-    distance, sigma(b) is the sum of sigma(a) over the neighbors a with
-    d(u, a) + w(a, b) == d(u, b).
+    Counts as in Brandes' betweenness algorithm, over the cached
+    ``single_source(u)`` row: sigma(u) = 1, and each tight edge a -> b
+    (either way along an edge, d(u, a) + w(a, b) == d(u, b) <= d(u, v)), in
+    order of d(u, a), adds sigma(a) to sigma(b).
     """
     u, v = g.check_vertex(u), g.check_vertex(v)
-    total = g._integer_length_total
-    if total is None:
-        length = next(length for _, _, length in g.edges if not length.is_integer())
-        raise ValueError(f"geodesic counting requires integer edge lengths, got {length}")
+    lengths = g._lengths
+    fractional = np.floor(lengths) != lengths
+    if fractional.any():
+        raise ValueError(f"geodesic counting requires integer edge lengths, got {float(lengths[fractional.argmax()])}")
+    with np.errstate(over="ignore"):  # lengths near the float maximum sum to inf
+        total = lengths.sum()
     if total >= 2**53:
         raise ValueError(
-            f"geodesic counting requires a total edge length below 2**53, got {total}: "
+            f"geodesic counting requires a total edge length below 2**53, got {sum(map(int, lengths.tolist()))}: "
             "longer path sums are not exact in float64"
         )
     row = g.single_source(u)
     if math.isinf(row[v]):
         raise no_path_error(u, v)
-    near = np.flatnonzero(row <= row[v])
-    dist = row.tolist()
+    tails, heads = np.concatenate([g._ids, g._ids[::-1]], axis=1)
+    tight = (row[tails] + np.tile(lengths, 2) == row[heads]) & (row[heads] <= row[v])
+    tails, heads = tails[tight], heads[tight]
+    order = np.argsort(row[tails], kind="stable")
     sigma = [0] * g.vertex_count
     sigma[u] = 1
-    for b in near[np.argsort(row[near])].tolist():
-        if b != u:
-            sigma[b] = sum(sigma[a] for a, w in g._adj[b] if dist[a] + w == dist[b])
+    for a, b in zip(tails[order].tolist(), heads[order].tolist()):
+        sigma[b] += sigma[a]
     return sigma[v]
 
 
@@ -258,11 +281,14 @@ class Polyline:
         pts = as_points(vertices, dim=2)
         if len(pts) < 2:
             raise ValueError("a polyline needs at least two vertices")
-        steps = np.diff(pts, axis=0)
+        with np.errstate(over="ignore"):  # a step past the float range is refused below
+            steps = np.diff(pts, axis=0)
         if (steps == 0).all(1).any():  # finite a - b is 0 exactly when a == b
             raise ValueError("consecutive polyline vertices must be distinct")
         self.vertices = pts
         self.cumulative = tuple(itertools.accumulate(hypot_rows(steps).tolist(), initial=0.0))
+        if math.isinf(self.cumulative[-1]):
+            raise ValueError("the total length of the polyline overflows the float range")
 
     def __len__(self) -> int:
         return len(self.vertices)

@@ -107,6 +107,15 @@ class TestDist:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err == f"error: {gfile}: {message}\n"
 
+    def test_an_overflowed_graph_distance_is_usage_error(self, tmp_path, capsys):
+        # it once read as "no path joins vertices 0 and 2"
+        gfile = tmp_path / "g.json"
+        gfile.write_text(json.dumps({"vertices": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]]}))
+        assert cli.main(["dist", "--metric", "graphpath", "--graph", str(gfile), "-p", "0", "-q", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the distance from vertex 0 to vertex 2 overflows the float range\n"
+
     def test_unknown_metric_is_usage_error(self):
         res = run_cli("dist", "--metric", "hyperbolic", "-p", "0,0", "-q", "1,1")
         assert res.returncode == 2

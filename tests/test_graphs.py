@@ -71,6 +71,21 @@ def per_cell_grid_edges(width, height):
     return edges
 
 
+def per_vertex_geodesics(g, u, v):
+    """The number of shortest paths from u to v one vertex at a time, as
+    count_geodesics once counted them: in order of distance from u, sigma(b)
+    is the sum of sigma(a) over the neighbors a with d(a) + w(a, b) == d(b)."""
+    row = g.single_source(u)
+    near = np.flatnonzero(row <= row[v])
+    dist = row.tolist()
+    sigma = [0] * g.vertex_count
+    sigma[u] = 1
+    for b in near[np.argsort(row[near])].tolist():
+        if b != u:
+            sigma[b] = sum(sigma[a] for a, w in g._adj[b] if dist[a] + w == dist[b])
+    return sigma[v]
+
+
 def outcome(build):
     """What ``build()`` returns, or the type and message of its error."""
     try:
@@ -281,6 +296,55 @@ class TestWeightedGraph:
         with pytest.raises(mk.UnreachableError):
             mk.shortest_path_distance(g, 1, 2)
 
+    def test_edges_are_the_input_as_ints_and_floats(self):
+        given = [(2, 0, 1), (np.int64(1), 2.0, np.float32(0.75)), (3, 1, 2.5)]
+        g = mk.WeightedGraph(4, given)
+        assert type(g.edges) is tuple and g.edges == ((2, 0, 1.0), (1, 2, 0.75), (3, 1, 2.5))
+        assert all(tuple(map(type, e)) == (int, int, float) for e in g.edges)
+        assert mk.WeightedGraph(1, []).edges == ()
+        with pytest.raises(AttributeError):
+            g.edges = ()
+
+    def test_the_row_cache_is_bounded(self, monkeypatch):
+        g = sampling.random_connected_graph(np.random.default_rng(5), 40, extra_edges=60)
+        want = [g.single_source(s).copy() for s in range(40)]
+        assert len(g._sssp_cache) == 40  # 1,600 floats, far below the cap
+        monkeypatch.setattr(graphs, "SSSP_CACHE_FLOATS", 3 * 40 + 39)
+        capped = mk.WeightedGraph(40, g.edges)
+        for s in [*range(40), 7, 39, 0]:
+            assert np.array_equal(capped.single_source(s), want[s])
+            assert len(capped._sssp_cache) <= 3
+        # the oldest row goes first; a hit does not refresh a row
+        assert list(capped._sssp_cache) == [39, 7, 0]
+        for u, v in np.random.default_rng(6).integers(0, 40, size=(200, 2)).tolist():
+            assert mk.shortest_path_distance(capped, u, v) == want[min(u, v)][max(u, v)]
+        # a row past the cap on its own is still kept, alone
+        monkeypatch.setattr(graphs, "SSSP_CACHE_FLOATS", 10)
+        for s in (3, 4, 3):
+            assert np.array_equal(capped.single_source(s), want[s]) and list(capped._sssp_cache) == [s]
+
+    def test_an_overflowed_distance_is_not_unreachable(self):
+        g = mk.WeightedGraph(3, [(0, 1, 1e308), (1, 2, 1e308)])
+        message = "the distance from vertex 0 to vertex 2 overflows the float range"
+        for u, v in ((0, 2), (2, 0), (0, 1)):
+            with pytest.raises(ValueError, match=message) as err:
+                mk.shortest_path_distance(g, u, v)
+            assert type(err.value) is ValueError
+        with pytest.raises(ValueError, match=message):
+            mk.verify_axioms(mk.GraphPath(g), [0, 1, 2])
+        assert mk.shortest_path_distance(g, 1, 2) == 1e308  # no distance from 1 overflows
+        # the 2**53 check reads the lengths without summing them into a warning
+        with pytest.raises(ValueError, match=f"below 2\\*\\*53, got {2 * int(1e308)}:"):
+            mk.count_geodesics(g, 0, 2)
+        # reversed edges and ids: the infinite end is named
+        g = mk.WeightedGraph(4, [(3, 2, 1e308), (2, 1, 1e308), (0, 3, 1.0)])
+        with pytest.raises(ValueError, match="from vertex 0 to vertex 1 overflows"):
+            g.single_source(0)
+        # a part that no edge joins is still unreachable, however long its edges
+        g = mk.WeightedGraph(4, [(0, 1, 1e308), (2, 3, 1e308)])
+        with pytest.raises(mk.UnreachableError, match="no path joins vertices 0 and 2"):
+            mk.shortest_path_distance(g, 0, 2)
+
     def test_a_cached_row_is_not_served_to_a_bool(self):
         # True == 1 and hash(True) == hash(1), so a bare cache lookup would serve it
         g = mk.WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
@@ -379,6 +443,25 @@ class TestCountGeodesics:
                 tied += lengths.count(min(lengths)) > 1
         assert tied >= 30
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_per_vertex_reference(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        for n in (50, 120, 300):
+            g = sampling.random_connected_graph(rng, n, extra_edges=int(rng.integers(n, 3 * n)))
+            g = mk.WeightedGraph(n, [(u, v, float(rng.integers(1, 4))) for u, v, _ in g.edges])
+            for u, v in rng.integers(0, n, size=(12, 2)).tolist():
+                assert mk.count_geodesics(g, u, v) == per_vertex_geodesics(g, u, v)
+        for w, h in ((1, 7), (9, 1), (13, 8), (30, 30)):
+            g = mk.grid_graph(w, h)
+            for u, v in rng.integers(0, w * h, size=(8, 2)).tolist():
+                assert mk.count_geodesics(g, u, v) == per_vertex_geodesics(g, u, v)
+
+    def test_counts_past_2_64(self):
+        g = mk.grid_graph(60, 60)
+        count = mk.count_geodesics(g, 0, grid_vertex(60, 59, 59))
+        assert count == math.comb(118, 59) > 2**64
+        assert mk.count_geodesics(g, grid_vertex(60, 59, 0), grid_vertex(60, 0, 59)) == count
+
     def test_non_integer_lengths_refused(self):
         g = mk.WeightedGraph(2, [(0, 1, 1.5)])
         for _ in range(2):  # the length check is kept with the graph, and refuses every time
@@ -425,6 +508,13 @@ class TestPolyline:
         for bad in (1.7, True, np.float32(1.5), math.nan, -math.inf, "1", -1, 3):
             with pytest.raises(mk.CarrierError):
                 arc.validate_point(bad)
+
+    def test_an_overflowing_length_is_refused(self):
+        # the first chain's steps overflow the subtraction; the second's are finite, their sum is not
+        for vertices in ([(1e308, 0), (-1e308, 0), (1e308, 0)], [(1e308, 0), (0, 0), (1e308, 0), (0, 0)]):
+            with pytest.raises(ValueError, match="total length of the polyline overflows"):
+                mk.Polyline(vertices)
+        assert mk.Polyline([(1e308, 0), (0, 0)]).total_length == 1e308
 
     def test_identity(self):
         c = mk.Polyline([(0, 0), (1, 0), (2, 0)])
