@@ -27,16 +27,14 @@ MIN_BOUNDARY_SAMPLES = 8
 
 @dataclass(frozen=True, eq=False)
 class Ball:
-    """Open ball: all carrier points at distance < radius from the center."""
+    """Open ball: all carrier points at distance < radius from the center; the radius is positive and finite."""
 
     metric: MetricSpec
     center: object
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "radius", float(self.radius))
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        object.__setattr__(self, "radius", finite_radius(self.radius))
         object.__setattr__(self, "center", self.metric.validate_point(self.center))
 
     def __contains__(self, x) -> bool:
@@ -123,12 +121,12 @@ def _square_edge(r: float, v: np.ndarray):
     return np.full_like(v, r), r * (2.0 * v - 1.0)
 
 
-# drawable metric tag -> (spec, offsets(r, n) of its n boundary samples, CCW)
-_SHAPES = {
-    "euclidean": (Euclidean(), _circle),
-    "taxicab": (Taxicab(), lambda r, n: _four_edges(r, n, _diamond_edge)),
-    "chebyshev": (Chebyshev(), lambda r, n: _four_edges(r, n, _square_edge)),
-}
+# drawable metric name -> (spec, offsets(r, n) of its n boundary samples, CCW)
+_SHAPES = {spec.name: (spec, offsets) for spec, offsets in (
+    (Euclidean(), _circle),
+    (Taxicab(), lambda r, n: _four_edges(r, n, _diamond_edge)),
+    (Chebyshev(), lambda r, n: _four_edges(r, n, _square_edge)),
+)}
 
 
 @dataclass(frozen=True, eq=False)

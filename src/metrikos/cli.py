@@ -44,14 +44,7 @@ MAX_GRID_VERTICES = fileio.MAX_GRAPH_VERTICES
 MAX_DIM = 256
 MAX_BOUNDARY_SAMPLES = 100_000
 
-_PLAIN_METRICS = {
-    "euclidean": Euclidean,
-    "taxicab": Taxicab,
-    "chebyshev": Chebyshev,
-    "discrete": Discrete,
-    "realline": RealLine,
-    "greatcircle": GreatCircle,
-}
+_PLAIN_METRICS = {spec.name: spec for spec in (Euclidean, Taxicab, Chebyshev, Discrete, RealLine, GreatCircle)}
 
 
 def _fmt(x: float) -> str:
@@ -60,8 +53,7 @@ def _fmt(x: float) -> str:
 
 
 def _fmt_point(p) -> str:
-    arr = np.atleast_1d(np.asarray(p, dtype=float))
-    return ",".join(_fmt(c) for c in arr)
+    return ",".join(map(_fmt, np.ravel(p)))
 
 
 def _resolve_metric(args) -> MetricSpec:
@@ -71,7 +63,7 @@ def _resolve_metric(args) -> MetricSpec:
     tag = getattr(args, "metric", None)
     if tag is None:
         raise ValueError("either --metric or --matrix is required")
-    if tag == "graphpath":
+    if tag == GraphPath.name:
         graph_path = getattr(args, "graph", None)
         if not graph_path:
             raise ValueError("--metric graphpath requires --graph FILE")
@@ -143,8 +135,7 @@ def _map_from_json(text: str):
     if tag == "orthogonal":
         return SphereMap(_map_field(data, "matrix", (3, 3), '"matrix": a 3x3 array'))
     if tag in ("translation", "reflect_about_point"):
-        a = _map_field(data, "a", (2,), '"a": [a1, a2]')
-        return named_map(tag, float(a[0]), float(a[1]))
+        return named_map(tag, *_map_field(data, "a", (2,), '"a": [a1, a2]').tolist())
     if tag == "rotation":
         return named_map(tag, float(_map_field(data, "theta", (), '"theta": a number')))
     return named_map(tag)
@@ -172,10 +163,8 @@ def cmd_ball_svg(args) -> int:
             f"--samples takes {MIN_BOUNDARY_SAMPLES} to {MAX_BOUNDARY_SAMPLES} boundary samples, got {args.samples}"
         )
     spec = _resolve_metric(args)
-    center = [float(c) for c in args.center.split(",")]
-    boundary = ball_boundary(spec, center, args.radius, n=args.samples)
-    scene = ball_figure(boundary)
-    scene.write(args.out)
+    boundary = ball_boundary(spec, _parse_cli_point(spec, args.center), args.radius, n=args.samples)
+    ball_figure(boundary).write(args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -231,6 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--abs-tol", type=float, default=1e-9, help="absolute slack (default 1e-9)")
         p.add_argument("--rel-tol", type=float, default=1e-12, help="relative slack (default 1e-12)")
 
+    def add_metric_source(p):
+        p.add_argument("--metric", help=f"metric tag ({', '.join([*_PLAIN_METRICS, GraphPath.name])})")
+        p.add_argument("--matrix", help="distance-matrix CSV (points are row indices)")
+        p.add_argument("--graph", help="graph JSON for --metric graphpath")
+
     def add_sample_source(p):
         p.add_argument("--points", help="point-set JSON file")
         p.add_argument(
@@ -242,17 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("dist", help="print the distance between two points")
-    p.add_argument("--metric", help="metric tag (euclidean, taxicab, chebyshev, discrete, realline, greatcircle, graphpath)")
-    p.add_argument("--matrix", help="distance-matrix CSV (points are row indices)")
-    p.add_argument("--graph", help="graph JSON for --metric graphpath")
+    add_metric_source(p)
     p.add_argument("-p", dest="point_p", required=True, help="first point: comma-separated coords or vertex id")
     p.add_argument("-q", dest="point_q", required=True, help="second point")
     p.set_defaults(fn=cmd_dist)
 
     p = sub.add_parser("check", help="certify the metric axioms on a sample")
-    p.add_argument("--metric", help="metric tag")
-    p.add_argument("--matrix", help="distance-matrix CSV to certify")
-    p.add_argument("--graph", help="graph JSON for --metric graphpath")
+    add_metric_source(p)
     add_sample_source(p)
     add_tolerances(p)
     p.set_defaults(fn=cmd_check)
@@ -272,9 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("isometry", help="test whether a map preserves a metric on a sample")
     p.add_argument("--map", required=True, help='map JSON, e.g. {"map": "rotation", "theta": 0.785}')
-    p.add_argument("--metric", help="metric tag")
-    p.add_argument("--matrix", help="distance-matrix CSV")
-    p.add_argument("--graph", help="graph JSON for --metric graphpath")
+    add_metric_source(p)
     add_sample_source(p)
     add_tolerances(p)
     p.set_defaults(fn=cmd_isometry)
@@ -294,7 +282,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -83,7 +83,12 @@ class DistanceMatrix:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        try:
+            v = np.array(self.values, dtype=float)
+        except ValueError:
+            if len({np.size(row) for row in self.values}) < 2:
+                raise  # not a ragged row list: an entry that is not a number
+            raise ValueError("distance matrix must be square, got rows of different lengths") from None
         if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] == 0:
             raise ValueError(f"distance matrix must be square and nonempty, got shape {v.shape}")
         if not np.all(np.isfinite(v)):

@@ -65,30 +65,24 @@ def load_graph(path) -> WeightedGraph:
 
 
 def load_matrix_csv(path) -> DistanceMatrix:
-    """Read a distance-matrix CSV, detecting an optional label header row."""
+    """Read a distance-matrix CSV, detecting an optional label header row.
+
+    Only the CSV format is checked here: the file needs data rows. The
+    ``DistanceMatrix`` that holds them checks that they are finite and
+    square; its error is raised with the path in front.
+    """
     with open(path, newline="") as f:
         rows = [row for row in csv.reader(f) if row and any(cell.strip() for cell in row)]
     if not rows:
         raise ValueError(f"{path}: empty matrix file")
-
-    def parse_row(row):
-        return [float(cell) for cell in row]
-
     labels = None
     try:
-        parse_row(rows[0])
-    except ValueError:
-        labels = tuple(cell.strip() for cell in rows[0])
-        rows = rows[1:]
+        list(map(float, rows[0]))
+    except ValueError:  # a label header row
+        labels, rows = tuple(cell.strip() for cell in rows[0]), rows[1:]
         if not rows:
             raise ValueError(f"{path}: header row but no data rows")
-    values = []
-    for row in rows:
-        parsed = parse_row(row)
-        if any(not math.isfinite(v) for v in parsed):
-            raise ValueError(f"{path}: matrix entries must be finite")
-        values.append(parsed)
-    widths = {len(r) for r in values}
-    if len(widths) != 1 or widths.pop() != len(values):
-        raise ValueError(f"{path}: matrix must be square")
-    return DistanceMatrix(np.array(values), labels=labels)
+    try:
+        return DistanceMatrix([list(map(float, row)) for row in rows], labels=labels)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

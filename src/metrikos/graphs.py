@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import UnreachableError
+from .errors import CarrierError, UnreachableError
 from .points import as_index, as_integer, as_points, hypot_rows
 
 # A graph keeps its SSSP rows up to this many floats in all (8 MiB), and
@@ -27,7 +27,8 @@ class WeightedGraph:
     """Undirected graph with strictly positive edge lengths.
 
     Edges are (u, v, length) triples over vertex ids 0..vertex_count-1; loops,
-    nonpositive lengths, and duplicate undirected edges are rejected. The
+    nonpositive lengths, and duplicate undirected edges are rejected, and a
+    length that is a bool, a string or bytes raises CarrierError. The
     vertex count and the ids are integers, checked as ``as_integer`` checks
     them, so no id is silently truncated. The checked edges are kept once,
     in input order, as an int64 (2, m) id array and a float64 (m,) length
@@ -52,6 +53,10 @@ class WeightedGraph:
                 u, v, length = e
                 if not (type(u) is int and type(v) is int):
                     u, v = (as_integer(w, f"vertex id in edge {e}") for w in (u, v))
+                # a length is an int or a float, as a coordinate is; float() also reads bools, strings and bytes
+                if type(length) not in (int, float) and not isinstance(length, (np.integer, np.floating)):
+                    float(length)  # what float() cannot read raises its own error
+                    raise CarrierError(f"edge {e} must have a number as its length, got {length!r}")
                 lengths.append(float(length))
                 us.append(u)
                 vs.append(v)
@@ -236,10 +241,12 @@ def count_geodesics(g: WeightedGraph, u, v) -> int:
     decides the bound exactly: it is exact below 2**53, and once the true
     sum reaches 2**53 no rounding takes it below.
 
-    Counts as in Brandes' betweenness algorithm, over the cached
-    ``single_source(u)`` row: sigma(u) = 1, and each tight edge a -> b
-    (either way along an edge, d(u, a) + w(a, b) == d(u, b) <= d(u, v)), in
-    order of d(u, a), adds sigma(a) to sigma(b).
+    Counts as in Brandes' betweenness algorithm from the smaller id s to the
+    larger t (a path reversed is a path, so the count is symmetric), over the
+    cached ``single_source(s)`` row that ``WeightedGraph.distance`` reads for
+    the pair: sigma(s) = 1, and each tight edge a -> b (either way along an
+    edge, d(s, a) + w(a, b) == d(s, b) <= d(s, t)), in order of d(s, a),
+    adds sigma(a) to sigma(b). Errors name (u, v) in the caller's order.
     """
     u, v = g.check_vertex(u), g.check_vertex(v)
     lengths = g._lengths
@@ -253,18 +260,19 @@ def count_geodesics(g: WeightedGraph, u, v) -> int:
             f"geodesic counting requires a total edge length below 2**53, got {sum(map(int, lengths.tolist()))}: "
             "longer path sums are not exact in float64"
         )
-    row = g.single_source(u)
-    if math.isinf(row[v]):
+    s, t = (u, v) if u <= v else (v, u)
+    row = g.single_source(s)
+    if math.isinf(row[t]):
         raise no_path_error(u, v)
     tails, heads = np.concatenate([g._ids, g._ids[::-1]], axis=1)
-    tight = (row[tails] + np.tile(lengths, 2) == row[heads]) & (row[heads] <= row[v])
+    tight = (row[tails] + np.tile(lengths, 2) == row[heads]) & (row[heads] <= row[t])
     tails, heads = tails[tight], heads[tight]
     order = np.argsort(row[tails], kind="stable")
     sigma = [0] * g.vertex_count
-    sigma[u] = 1
+    sigma[s] = 1
     for a, b in zip(tails[order].tolist(), heads[order].tolist()):
         sigma[b] += sigma[a]
-    return sigma[v]
+    return sigma[t]
 
 
 class Polyline:

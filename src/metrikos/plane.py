@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Chebyshev, Discrete, Euclidean, RealLine, Taxicab, distance
-from .points import as_points
+from .points import as_points, same_shape_rows
 
 _EUCLIDEAN, _TAXICAB, _CHEBYSHEV = Euclidean(), Taxicab(), Chebyshev()
 _DISCRETE, _REAL_LINE = Discrete(), RealLine()
@@ -62,9 +62,7 @@ def discrete_distance(p, q) -> float:
 def _as_rows(P, Q):
     """The differences P - Q of two matching (n, dim) arrays of points, each
     row validated as the scalar functions validate a point."""
-    shape = np.shape(P)
-    if len(shape) != 2 or shape[1] == 0 or np.shape(Q) != shape:
-        raise ValueError(f"expected matching (n, dim) arrays, got {shape} and {np.shape(Q)}")
+    same_shape_rows(P, Q)
     return as_points(P) - as_points(Q)
 
 

@@ -23,9 +23,9 @@ call on a point of a few coordinates. A batch that fails its one-pass check
 falls back to the scalar validator item by item, which raises the error.
 
 ``point_key`` and ``point_keys`` give hashable exact-equality keys of
-validated points, ``finite_radius`` checks the radius of a circle or of a
-ball boundary, and ``hypot_rows`` is the row-wise form of the Euclidean
-norm, shared by the coordinate and sphere kernels.
+validated points, ``finite_radius`` checks a radius, ``same_shape_rows`` the
+two arrays of a rowwise distance function, and ``hypot_rows`` is the
+row-wise Euclidean norm of the coordinate and sphere kernels.
 """
 
 from __future__ import annotations
@@ -160,6 +160,13 @@ def hypot_rows(V: np.ndarray) -> np.ndarray:
 def same_dim(p: np.ndarray, q: np.ndarray) -> None:
     if p.size != q.size:
         raise ValueError(f"dimension mismatch: {p.size} vs {q.size}")
+
+
+def same_shape_rows(P, Q) -> None:
+    """ValueError unless P and Q are (n, d) arrays of one shape, d > 0: no row is broadcast."""
+    shape = np.shape(P)
+    if len(shape) != 2 or shape[1] == 0 or np.shape(Q) != shape:
+        raise ValueError(f"expected matching (n, dim) arrays, got {shape} and {np.shape(Q)}")
 
 
 def point_key(p):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import GreatCircle, MetricSpec, RealLine, Subspace, _Indices
+from .core import GreatCircle, MetricSpec, Subspace, _Indices
 from .graphs import Polyline, WeightedGraph
 
 
@@ -67,15 +67,14 @@ def random_polyline(rng: np.random.Generator, n: int, step: float = 1.0) -> Poly
 
 
 def sample_for(spec: MetricSpec, rng: np.random.Generator, n: int, dim: int = 2) -> list:
-    """Draw n random points from the carrier of ``spec``."""
+    """Draw n random points from the carrier of ``spec``, in the dimension
+    of a coordinate spec that fixes one (the real line) or else in ``dim``."""
     if isinstance(spec, GreatCircle):
         return list(random_sphere_points(rng, n))
-    if isinstance(spec, RealLine):
-        return [float(x) for x in rng.uniform(-1.0, 1.0, size=n)]
     if isinstance(spec, _Indices):
         return [int(v) for v in rng.integers(0, spec.size, size=n)]
     if isinstance(spec, Subspace):
         pool = sorted(spec.allowed)
         idx = rng.integers(0, len(pool), size=n)
         return [np.array(pool[i]) if isinstance(pool[i], tuple) else pool[i] for i in idx]
-    return list(random_points(rng, n, dim=dim))
+    return list(random_points(rng, n, dim=getattr(spec, "dim", None) or dim))

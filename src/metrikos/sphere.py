@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CarrierError, DegenerateGeometryError
-from .points import as_point, as_points, finite_radius, hypot_rows
+from .points import as_point, as_points, finite_radius, hypot_rows, same_shape_rows
 
 # Construction accepts vectors this far from unit norm and renormalizes them.
 UNIT_NORM_TOL = 1e-9
@@ -103,12 +103,14 @@ def chord_distance(p, q) -> float:
 def chord_distances(P, Q) -> np.ndarray:
     """Rowwise chord distances between two (n, 3) sphere-point arrays; row k
     equals ``chord_distance(P[k], Q[k])`` bit for bit."""
+    same_shape_rows(P, Q)
     return hypot_rows(sphere_points(P) - sphere_points(Q))
 
 
 def great_circle_distances(P, Q) -> np.ndarray:
     """Rowwise shorter-arc lengths between two (n, 3) sphere-point arrays;
     row k equals ``great_circle_distance(P[k], Q[k])`` bit for bit."""
+    same_shape_rows(P, Q)
     return arc_lengths(sphere_points(P), sphere_points(Q))
 
 

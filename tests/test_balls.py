@@ -110,6 +110,13 @@ class TestBallContains:
         big = mk.Ball(mk.Discrete(), (0, 0), 1.5)
         assert mk.ball_contains(big, (5, 5))
 
+    def test_infinite_radius_rejected(self):
+        for spec, center in ((mk.Euclidean(), (0, 0)), (mk.RealLine(), 0.0), (mk.Discrete(), (1, 2))):
+            with pytest.raises(ValueError, match="radius must be finite, got inf"):
+                mk.Ball(spec, center, math.inf)
+        with pytest.raises(ValueError, match="radius must be positive, got nan"):
+            mk.Ball(mk.Euclidean(), (0, 0), math.nan)
+
     def test_invalid_balls_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             mk.Ball(mk.Euclidean(), (0, 0), 0.0)

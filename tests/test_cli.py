@@ -206,6 +206,13 @@ class TestCheck:
         res = run_cli("check", "--metric", "euclidean")
         assert res.returncode == 2
 
+    def test_ragged_csv_names_the_square_check(self, tmp_path):
+        f = tmp_path / "ragged.csv"
+        f.write_text("0,1,2\n1,0\n2,1,0\n")
+        res = run_cli("check", "--matrix", str(f))
+        assert res.returncode == 2 and res.stdout == b""
+        assert res.stderr == f"error: {f}: distance matrix must be square, got rows of different lengths\n".encode()
+
     def test_malformed_csv_is_usage_error(self, tmp_path):
         f = tmp_path / "ragged.csv"
         f.write_text("0,1,2\n1,0\n")
@@ -353,6 +360,12 @@ class TestGrid:
     def test_same_vertex(self):
         res = run_cli("grid", "5", "5", "--from", "0,0", "--to", "0,0")
         assert res.stdout == b"distance 0\ncount 1\n"
+
+    def test_reversed_query_prints_the_same_lines(self):
+        forward = run_cli("grid", "40", "30", "--from", "0,0", "--to", "39,29")
+        backward = run_cli("grid", "40", "30", "--from", "39,29", "--to", "0,0")
+        assert forward.returncode == backward.returncode == 0
+        assert forward.stdout == backward.stdout == b"distance 68\ncount 13750991318793417920\n"
 
     def test_out_of_range_vertex(self):
         res = run_cli("grid", "3", "3", "--from", "0,0", "--to", "5,5")

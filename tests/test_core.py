@@ -477,6 +477,14 @@ class TestDistanceMatrixType:
         with pytest.raises(ValueError, match="finite"):
             mk.DistanceMatrix(np.array([[0.0, np.inf], [1.0, 0.0]]))
 
+    def test_ragged_rows_rejected_as_not_square(self):
+        for rows in ([[0, 1], [1]], [[0, 1], [1, 0], [2]], [[0.0], [1.0, 0.0]]):
+            with pytest.raises(ValueError, match="distance matrix must be square, got rows of different lengths"):
+                mk.DistanceMatrix(rows)
+        # an entry that is not a number keeps numpy's error
+        with pytest.raises(ValueError, match="could not convert"):
+            mk.DistanceMatrix([[0, "a"], [1, 0]])
+
     def test_labels_must_match(self):
         with pytest.raises(ValueError, match="label"):
             mk.DistanceMatrix(np.zeros((2, 2)), labels=("a",))
@@ -484,6 +492,16 @@ class TestDistanceMatrixType:
     def test_asymmetry_allowed_at_construction(self):
         m = mk.DistanceMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
         assert m.n == 2
+
+
+class TestSampleFor:
+    def test_real_line_draws_as_the_coordinate_specs_draw(self):
+        # n uniform reals in [-1, 1), one per point, whatever --dim asks for
+        want = np.random.default_rng(9).uniform(-1.0, 1.0, size=40)
+        for dim in (1, 2, 5):
+            got = sampling.sample_for(mk.RealLine(), np.random.default_rng(9), 40, dim=dim)
+            assert np.array_equal(np.asarray(got, dtype=float).ravel(), want)
+            assert mk.verify_axioms(mk.RealLine(), got).all_ok
 
 
 class TestToleranceConfig:

@@ -267,6 +267,17 @@ class TestWeightedGraph:
         assert g.vertex_count == 3 and g.edges == ((0, 1, 1.0), (1, 2, 2.0))
         assert all(type(x) is int for u, v, _ in g.edges for x in (u, v))
 
+    def test_lengths_are_numbers(self):
+        # float() reads each of these as a number
+        for bad in ("2", b"2", True, np.bool_(True)):
+            with pytest.raises(mk.CarrierError, match=r"edge \(1, 2, .*\) must have a number as its length"):
+                mk.WeightedGraph(3, [(0, 1, 1.0), (1, 2, bad)])
+        # an earlier faulty edge is still named first
+        with pytest.raises(ValueError, match="loop edge at vertex 0"):
+            mk.WeightedGraph(3, [(0, 0, 1.0), (1, 2, "2")])
+        g = mk.WeightedGraph(3, [(0, 1, np.int8(2)), (1, 2, np.float32(0.5))])
+        assert g.edges == ((0, 1, 2.0), (1, 2, 0.5))
+
     def test_path_graph(self):
         g = mk.WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         assert mk.shortest_path_distance(g, 0, 2) == 2.0
@@ -481,6 +492,27 @@ class TestCountGeodesics:
         g = mk.WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(mk.UnreachableError, match="no path joins vertices 0 and 2"):
             mk.count_geodesics(g, 0, 2)
+
+    def test_counts_over_the_row_the_distance_read(self):
+        rng = np.random.default_rng(77)
+        graphs_ = [mk.grid_graph(w, h) for w, h in ((1, 9), (13, 8), (30, 30))]
+        for n in (20, 150):
+            g = sampling.random_connected_graph(rng, n, extra_edges=2 * n)
+            graphs_.append(mk.WeightedGraph(n, [(u, v, float(rng.integers(1, 4))) for u, v, _ in g.edges]))
+        for g in graphs_:
+            for _ in range(6):
+                v, u = sorted(rng.integers(0, g.vertex_count, size=2).tolist())
+                if u == v:
+                    continue
+                mk.shortest_path_distance(g, u, v)
+                rows = list(g._sssp_cache)
+                count = mk.count_geodesics(g, u, v)
+                assert v in rows and list(g._sssp_cache) == rows  # no row beyond the distance's
+                assert count == mk.count_geodesics(g, v, u) == per_vertex_geodesics(g, u, v)
+        # the errors name the pair in the caller's order
+        g = mk.WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        with pytest.raises(mk.UnreachableError, match="no path joins vertices 2 and 0"):
+            mk.count_geodesics(g, 2, 0)
 
 
 class TestPolyline:

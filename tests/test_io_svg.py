@@ -128,6 +128,14 @@ class TestMatrixCsv:
         with pytest.raises(ValueError, match="square"):
             fileio.load_matrix_csv(path)
 
+    def test_ragged_rows_rejected_as_not_square(self, tmp_path):
+        path = tmp_path / "m.csv"
+        for text in ("0,1,2\n1,0\n2,1,0\n", "a,b\n0,1\n1\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError) as err:
+                fileio.load_matrix_csv(path)
+            assert str(err.value).startswith(f"{path}: distance matrix must be square")
+
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0,inf\n1,0\n")

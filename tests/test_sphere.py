@@ -76,6 +76,15 @@ class TestChordAndArc:
             assert mk.chord_distance(p, q) == dc
             assert mk.great_circle_distance(p, q) == dg
 
+    def test_rowwise_shapes_must_match(self):
+        # one row is not broadcast against n rows, as in the plane's rowwise functions
+        P, Q = [[1, 0, 0], [0, 1, 0]], [[0, 0, 1]]
+        for fn in (mk.chord_distances, mk.great_circle_distances, mk.euclidean_distances):
+            for args in ((P, Q), (Q, P), ([1, 0, 0], [0, 1, 0])):
+                with pytest.raises(ValueError, match="expected matching \\(n, dim\\) arrays"):
+                    fn(*args)
+        assert mk.great_circle_distances(P, P).tolist() == [0.0, 0.0]
+
     @given(t=st.floats(min_value=0.0, max_value=3.0))
     def test_points_built_at_a_given_arc(self, t):
         q = (math.cos(t), math.sin(t), 0.0)
