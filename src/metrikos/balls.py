@@ -176,5 +176,6 @@ def ball_boundary(metric: MetricSpec, center, radius: float, n: int = 256) -> Bo
         raise ValueError(f"need at least {MIN_BOUNDARY_SAMPLES} boundary samples, got {n}")
     spec, offsets = _SHAPES.get(getattr(metric, "name", None), (None, None))
     if spec != metric:
-        raise ValueError("ball boundaries are drawn for euclidean, taxicab, and chebyshev only")
+        *drawable, last = _SHAPES
+        raise ValueError(f"ball boundaries are drawn for {', '.join(drawable)}, and {last} only")
     return BoundaryPolyline(spec.name, c, radius, c + offsets(radius, n))

@@ -14,8 +14,10 @@ import sys
 import numpy as np
 
 from . import fileio, sampling
-from .balls import MIN_BOUNDARY_SAMPLES, ball_boundary
+from .balls import _SHAPES, MIN_BOUNDARY_SAMPLES, ball_boundary
 from .core import (
+    AXIOMS,
+    DEFAULT_TOL,
     AxiomReport,
     Chebyshev,
     Discrete,
@@ -30,15 +32,17 @@ from .core import (
     distance,
     verify_axioms,
 )
+from .graphs import count_geodesics, grid_graph, grid_vertex, shortest_path_distance
 from .isometry import SphereMap, is_isometry, named_map
 from .svg import ball_figure
 
 MAX_PRINTED_WITNESSES = 10
 
 # Input caps, checked before anything is built: certifying N points takes
-# O(N^3) time and O(N^2) memory, a W x H grid holds W * H vertices (as many
-# as a graph file may), random points hold --dim coordinates each, and a
-# ball boundary --samples points.
+# O(N^3) time and O(N^2) memory, so a sample holds at most MAX_RANDOM_POINTS
+# points whether it comes from --random, --points or --matrix; a W x H grid
+# holds W * H vertices (as many as a graph file may), random points hold
+# --dim coordinates each, and a ball boundary --samples points.
 MAX_RANDOM_POINTS = 2048
 MAX_GRID_VERTICES = fileio.MAX_GRAPH_VERTICES
 MAX_DIM = 256
@@ -85,29 +89,29 @@ def _tolerances(args) -> ToleranceConfig:
 
 
 def _load_sample(spec: MetricSpec, args) -> list:
-    if getattr(args, "matrix", None):
-        return list(range(spec.matrix.n))
-    if args.points:
-        _, pts = fileio.load_points(args.points)
-        return pts
-    if args.random:
+    """The sample to certify, refused past MAX_RANDOM_POINTS points whatever
+    its source, before any distance table is built."""
+    if args.matrix:
+        source, sample = f"--matrix {args.matrix}", list(range(spec.matrix.n))
+    elif args.points:
+        source, sample = f"--points {args.points}", fileio.load_points(args.points)[1]
+    elif args.random:
         if not 0 < args.random <= MAX_RANDOM_POINTS:
             raise ValueError(f"--random takes 1 to {MAX_RANDOM_POINTS} points, got {args.random}")
         if not 0 < args.dim <= MAX_DIM:
             raise ValueError(f"--dim takes 1 to {MAX_DIM} coordinates, got {args.dim}")
         rng = np.random.default_rng(args.seed)
         return sampling.sample_for(spec, rng, args.random, dim=args.dim)
-    raise ValueError("no sample given: use --points FILE or --random N")
+    else:
+        raise ValueError("no sample given: use --points FILE or --random N")
+    if len(sample) > MAX_RANDOM_POINTS:
+        raise ValueError(f"{source} holds {len(sample)} points, past the cap of {MAX_RANDOM_POINTS}")
+    return sample
 
 
 def _print_report(report: AxiomReport) -> None:
-    for axiom, ok in [
-        ("symmetry", report.symmetry_ok),
-        ("nonnegativity", report.nonnegativity_ok),
-        ("identity", report.identity_ok),
-        ("triangle", report.triangle_ok),
-    ]:
-        print(f"{axiom:<14}{'PASS' if ok else 'FAIL'}")
+    for axiom in AXIOMS:
+        print(f"{axiom:<14}{'FAIL' if report.for_axiom(axiom) else 'PASS'}")
     for w in report.witnesses[:MAX_PRINTED_WITNESSES]:
         idx = ",".join(str(i) for i in w.indices)
         print(f"witness {w.axiom} ({idx}): lhs {_fmt(w.lhs)} rhs {_fmt(w.rhs)}")
@@ -186,8 +190,6 @@ def cmd_isometry(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    from .graphs import count_geodesics, grid_graph, grid_vertex, shortest_path_distance
-
     if min(args.width, args.height) > 0 and args.width * args.height > MAX_GRID_VERTICES:
         raise ValueError(f"a {args.width}x{args.height} grid is past the cap of {MAX_GRID_VERTICES} vertices")
     g = grid_graph(args.width, args.height)
@@ -217,8 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_tolerances(p):
-        p.add_argument("--abs-tol", type=float, default=1e-9, help="absolute slack (default 1e-9)")
-        p.add_argument("--rel-tol", type=float, default=1e-12, help="relative slack (default 1e-12)")
+        tol = DEFAULT_TOL
+        p.add_argument("--abs-tol", type=float, default=tol.abs_tol, help="absolute slack (default %(default)s)")
+        p.add_argument("--rel-tol", type=float, default=tol.rel_tol, help="relative slack (default %(default)s)")
 
     def add_metric_source(p):
         p.add_argument("--metric", help=f"metric tag ({', '.join([*_PLAIN_METRICS, GraphPath.name])})")
@@ -248,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("ball-svg", help="render a metric ball boundary as SVG")
-    p.add_argument("--metric", required=True, help="euclidean, taxicab, or chebyshev")
+    *drawable, last = _SHAPES
+    p.add_argument("--metric", required=True, help=f"{', '.join(drawable)}, or {last}")
     p.add_argument("--center", default="0,0", help="ball center X,Y (default 0,0)")
     p.add_argument("--radius", type=float, required=True, help="ball radius")
     p.add_argument(

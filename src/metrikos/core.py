@@ -86,8 +86,10 @@ class DistanceMatrix:
         try:
             v = np.array(self.values, dtype=float)
         except ValueError:
-            if len({np.size(row) for row in self.values}) < 2:
-                raise  # not a ragged row list: an entry that is not a number
+            try:  # a string entry float() cannot read raises its own error here
+                [[float(x) for x in row] for row in self.values]
+            except TypeError:  # a sequence where a number belongs
+                raise ValueError("distance matrix entries must be numbers") from None
             raise ValueError("distance matrix must be square, got rows of different lengths") from None
         if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] == 0:
             raise ValueError(f"distance matrix must be square and nonempty, got shape {v.shape}")
@@ -433,23 +435,30 @@ class Witness(NamedTuple):
     rhs: float
 
 
+# The four metric axioms, in the order the CLI reports their verdicts.
+AXIOMS = ("symmetry", "nonnegativity", "identity", "triangle")
+
+
+def _verdict(axiom: str) -> property:
+    return property(lambda self: not self.for_axiom(axiom), doc=f"True when no {axiom} witness was found.")
+
+
 @dataclass
 class AxiomReport:
-    """Per-axiom verdicts with explicit violating witnesses.
+    """Explicit violating witnesses, and per-axiom verdicts read from them.
 
-    Witness indices point into the certified sample; re-evaluating the
-    distances they name reproduces the reported lhs/rhs values.
+    An axiom passes exactly when it has no witness: ``verify_axioms``
+    reports at least one witness for every axiom that fails. Witness indices
+    point into the certified sample; re-evaluating the distances they name
+    reproduces the reported lhs/rhs values.
     """
 
-    symmetry_ok: bool
-    nonnegativity_ok: bool
-    identity_ok: bool
-    triangle_ok: bool
     witnesses: list[Witness] = field(default_factory=list)
+    symmetry_ok, nonnegativity_ok, identity_ok, triangle_ok = map(_verdict, AXIOMS)
 
     @property
     def all_ok(self) -> bool:
-        return self.symmetry_ok and self.nonnegativity_ok and self.identity_ok and self.triangle_ok
+        return not self.witnesses
 
     def for_axiom(self, axiom: str) -> list[Witness]:
         return [w for w in self.witnesses if w.axiom == axiom]
@@ -508,34 +517,14 @@ def verify_axioms(spec: MetricSpec, sample: Sequence, tol: ToleranceConfig = DEF
             ij = tuple(int(k) for k in idx)
             witnesses.append(Witness(axiom, ij, float(D[ij]), 0.0 if rhs is None else float(rhs[ij])))
 
-    neg = D < 0
-    nonnegativity_ok = not neg.any()
-    if not nonnegativity_ok:
-        collect("nonnegativity", neg)
-
-    asym = np.triu(np.abs(D - D.T) > tol.abs_tol + tol.rel_tol * np.maximum(A, A.T), k=1)
-    symmetry_ok = not asym.any()
-    if not symmetry_ok:
-        collect("symmetry", asym, D.T)
-
+    collect("nonnegativity", D < 0)
+    collect("symmetry", np.triu(np.abs(D - D.T) > tol.abs_tol + tol.rel_tol * np.maximum(A, A.T), k=1), D.T)
     # one class id per distinct point, so sameness is one n x n compare
     ids: dict = {}
     cls = np.array([ids.setdefault(key, len(ids)) for key in point_keys(pts)])
-    ident = np.where(cls[:, None] == cls[None, :], D > tol.abs_tol, D <= tol.abs_tol)
-    identity_ok = not ident.any()
-    if not identity_ok:
-        collect("identity", ident)
-
-    triangle = _triangle_witnesses(D, A, tol)
-    witnesses.extend(triangle)
-
-    return AxiomReport(
-        symmetry_ok=symmetry_ok,
-        nonnegativity_ok=nonnegativity_ok,
-        identity_ok=identity_ok,
-        triangle_ok=not triangle,
-        witnesses=witnesses,
-    )
+    collect("identity", np.where(cls[:, None] == cls[None, :], D > tol.abs_tol, D <= tol.abs_tol))
+    witnesses += _triangle_witnesses(D, A, tol)
+    return AxiomReport(witnesses)
 
 
 def _triangle_witnesses(D: np.ndarray, A: np.ndarray, tol: ToleranceConfig) -> list[Witness]:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, MetricSpec, ToleranceConfig, row_blocks
 from .points import as_point, as_points
+from .sphere import sphere_point
 
 ORTHOGONALITY_TOL = 1e-9
 
@@ -108,9 +109,16 @@ def swap_axes() -> PlaneMap:
     return PlaneMap([[0.0, 1.0], [1.0, 0.0]], np.zeros(2))
 
 
+def _cos_sin(theta: float) -> tuple[float, float]:
+    """cos and sin of a rotation angle; ValueError for a non-finite one."""
+    if not math.isfinite(theta):
+        raise ValueError(f"rotation angle must be finite, got {theta!r}")
+    return math.cos(theta), math.sin(theta)
+
+
 def rotation(theta: float) -> PlaneMap:
     """Rotation about the origin by ``theta`` radians."""
-    c, s = math.cos(theta), math.sin(theta)
+    c, s = _cos_sin(theta)
     return PlaneMap([[c, -s], [s, c]], np.zeros(2))
 
 
@@ -147,7 +155,7 @@ def rotation_about_axis(axis, theta: float) -> SphereMap:
     if n == 0.0:
         raise ValueError("rotation axis must be nonzero")
     x, y, z = v / n
-    c, s = math.cos(theta), math.sin(theta)
+    c, s = _cos_sin(theta)
     k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
     outer = np.outer((x, y, z), (x, y, z))
     return SphereMap(c * np.eye(3) + s * k + (1.0 - c) * outer)
@@ -159,8 +167,6 @@ def rotation_sending(p, q) -> SphereMap:
     Rotates in the plane spanned by p and q; identity when they coincide,
     and a half-turn about any perpendicular axis when they are antipodal.
     """
-    from .sphere import sphere_point
-
     pa, qa = sphere_point(p), sphere_point(q)
     cross = np.cross(pa, qa)
     sin_t = math.hypot(*cross)

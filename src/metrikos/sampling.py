@@ -16,21 +16,12 @@ def random_points(rng: np.random.Generator, n: int, dim: int = 2, low: float = -
 def random_sphere_points(rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniform unit-sphere points (normalized gaussians), one per row."""
     v = rng.normal(size=(n, 3))
-    norms = np.linalg.norm(v, axis=1)
-    while np.any(norms < 1e-6):  # pragma: no cover - astronomically rare
-        bad = norms < 1e-6
-        v[bad] = rng.normal(size=(int(bad.sum()), 3))
-        norms = np.linalg.norm(v, axis=1)
-    return v / norms[:, None]
+    return v / np.linalg.norm(v, axis=1)[:, None]
 
 
-def random_connected_graph(
-    rng: np.random.Generator,
-    n: int,
-    extra_edges: int = 0,
-    integer_lengths: bool = False,
-) -> WeightedGraph:
-    """Random connected graph: a random spanning tree plus optional extras."""
+def random_connected_graph(rng: np.random.Generator, n: int, extra_edges: int = 0) -> WeightedGraph:
+    """Random connected graph: a random spanning tree plus optional extras,
+    with edge lengths uniform in [0.1, 2)."""
     if n < 1:
         raise ValueError("need at least one vertex")
     edges = []
@@ -50,18 +41,16 @@ def random_connected_graph(
             continue
         present.add(key)
         edges.append(key)
-    if integer_lengths:
-        lengths = rng.integers(1, 10, size=len(edges))
-    else:
-        lengths = rng.uniform(0.1, 2.0, size=len(edges))
+    lengths = rng.uniform(0.1, 2.0, size=len(edges))
     return WeightedGraph(n, [(u, v, float(w)) for (u, v), w in zip(edges, lengths)])
 
 
-def random_polyline(rng: np.random.Generator, n: int, step: float = 1.0) -> Polyline:
-    """Random walk polyline with n vertices and nonzero steps."""
+def random_polyline(rng: np.random.Generator, n: int) -> Polyline:
+    """Random walk polyline with n vertices and steps of 0.1 to 1 in each
+    coordinate."""
     if n < 2:
         raise ValueError("need at least two vertices")
-    steps = rng.uniform(0.1 * step, step, size=(n - 1, 2)) * rng.choice([-1.0, 1.0], size=(n - 1, 2))
+    steps = rng.uniform(0.1, 1.0, size=(n - 1, 2)) * rng.choice([-1.0, 1.0], size=(n - 1, 2))
     pts = np.vstack([np.zeros(2), np.cumsum(steps, axis=0)])
     return Polyline(pts)
 

@@ -194,19 +194,14 @@ def circular_projection(c: Circle2D, p) -> np.ndarray:
     """Radial projection of a plane point onto the circle ``c``.
 
     Sends p to the point of the circle on the segment from p to the center;
-    fixes points of the circle. Undefined at the center itself.
+    fixes points of the circle. Undefined at the center itself. This is
+    ``circular_projections`` of the one row p.
     """
-    pa = as_point(p, dim=2)
-    v = pa - c.center
-    n = math.hypot(*v)
-    if n == 0.0:
-        raise ValueError("circular projection is undefined at the circle center")
-    return c.center + (c.radius / n) * v
+    return circular_projections(c, as_point(p, dim=2)[None, :])[0]
 
 
 def circular_projections(c: Circle2D, P) -> np.ndarray:
-    """Rowwise radial projection of an (n, 2) point array onto ``c``; row k
-    equals ``circular_projection(c, P[k])`` bit for bit."""
+    """Rowwise radial projection of an (n, 2) point array onto ``c``."""
     shape = np.shape(P)
     if len(shape) != 2 or shape[1] != 2:
         raise ValueError(f"expected an (n, 2) array, got shape {shape}")

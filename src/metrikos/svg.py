@@ -2,10 +2,12 @@
 
 Figures are data-space geometry mapped through a fixed viewport: content is
 centered with a 10% margin, aspect preserved, and the y-axis flipped so that
-mathematical "up" points up on screen. Output is plain XML text built from
-formatted floats, so identical inputs give byte-identical files. A polygon's
-text is one ``%`` format over its whole (n, 2) pixel array, with no Python
-step per sample.
+mathematical "up" points up on screen. Every figure is FIGURE_SIZE pixels
+square and drawn in one style (colours, stroke widths, marker and font
+sizes), so the scene's methods take geometry and text only. Output is plain
+XML text built from formatted floats, so identical inputs give
+byte-identical files. A polygon's text is one ``%`` format over its whole
+(n, 2) pixel array, with no Python step per sample.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .balls import BoundaryPolyline
 from .points import as_point
 
 MARGIN_FRACTION = 0.1
+FIGURE_SIZE = 512  # pixels a side
 
 
 def _fmt(x: float) -> str:
@@ -31,7 +34,6 @@ class Viewport:
     scale: float
     x_shift: float
     y_shift: float
-    height: float
 
     @classmethod
     def fit(cls, xmin, xmax, ymin, ymax, width: float, height: float) -> "Viewport":
@@ -43,7 +45,7 @@ class Viewport:
         # center the content in the viewport
         x_shift = 0.5 * width - scale * 0.5 * (xmin + xmax)
         y_shift = 0.5 * height + scale * 0.5 * (ymin + ymax)
-        return cls(scale=scale, x_shift=x_shift, y_shift=y_shift, height=height)
+        return cls(scale=scale, x_shift=x_shift, y_shift=y_shift)
 
     def map(self, p) -> tuple[float, float]:
         return tuple(self.map_rows(as_point(p, dim=2)[None, :])[0])
@@ -56,41 +58,35 @@ class Viewport:
 
 @dataclass
 class SvgScene:
-    """An SVG document assembled from polylines, markers, and labels."""
+    """An SVG document of FIGURE_SIZE pixels a side, assembled from
+    polygons, cross markers and labels in one fixed style."""
 
-    width: int = 512
-    height: int = 512
     elements: list[str] = field(default_factory=list)
 
-    def add_polygon(self, pixel_points, stroke: str = "#1f4e8c", stroke_width: float = 1.5):
+    def add_polygon(self, pixel_points):
         # one format over the (n, 2) array: "%.2f" rounds as _fmt does
         P = np.asarray(pixel_points, dtype=float)
         pts = ("%.2f,%.2f " * len(P) % tuple(P.ravel().tolist()))[:-1]
-        self.elements.append(
-            f'<polygon points="{pts}" fill="none" stroke="{stroke}" stroke-width="{stroke_width}"/>'
-        )
+        self.elements.append(f'<polygon points="{pts}" fill="none" stroke="#1f4e8c" stroke-width="1.5"/>')
 
-    def add_cross(self, x: float, y: float, size: float = 5.0, stroke: str = "#b03030"):
-        s = size
+    def add_cross(self, x: float, y: float):
+        s = 5.0  # arm length in pixels
         self.elements.append(
             f'<path d="M {_fmt(x - s)} {_fmt(y)} L {_fmt(x + s)} {_fmt(y)} '
             f'M {_fmt(x)} {_fmt(y - s)} L {_fmt(x)} {_fmt(y + s)}" '
-            f'stroke="{stroke}" stroke-width="1.5" fill="none"/>'
+            f'stroke="#b03030" stroke-width="1.5" fill="none"/>'
         )
 
-    def add_text(self, x: float, y: float, text: str, size: int = 14):
-        self.elements.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="monospace" '
-            f'font-size="{size}">{text}</text>'
-        )
+    def add_text(self, x: float, y: float, text: str):
+        self.elements.append(f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="monospace" font-size="14">{text}</text>')
 
     def to_xml(self) -> str:
         body = "\n".join(f"  {el}" for el in self.elements)
         return (
             '<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{self.width}" height="{self.height}" '
-            f'viewBox="0 0 {self.width} {self.height}">\n'
+            f'width="{FIGURE_SIZE}" height="{FIGURE_SIZE}" '
+            f'viewBox="0 0 {FIGURE_SIZE} {FIGURE_SIZE}">\n'
             f"{body}\n"
             "</svg>\n"
         )
@@ -100,16 +96,16 @@ class SvgScene:
             f.write(self.to_xml())
 
 
-def ball_figure(boundary: BoundaryPolyline, width: int = 512, height: int = 512) -> SvgScene:
+def ball_figure(boundary: BoundaryPolyline) -> SvgScene:
     """Render a ball boundary as a closed curve with center marker and
     radius label."""
     samples = boundary.samples
     xs = np.append(samples[:, 0], boundary.center[0])
     ys = np.append(samples[:, 1], boundary.center[1])
-    vp = Viewport.fit(xs.min(), xs.max(), ys.min(), ys.max(), width, height)
-    scene = SvgScene(width=width, height=height)
+    vp = Viewport.fit(xs.min(), xs.max(), ys.min(), ys.max(), FIGURE_SIZE, FIGURE_SIZE)
+    scene = SvgScene()
     scene.add_polygon(vp.map_rows(samples))
     cx, cy = vp.map(boundary.center)
     scene.add_cross(cx, cy)
-    scene.add_text(10.0, float(height) - 10.0, f"{boundary.metric_tag} ball, r = {boundary.radius:.12g}")
+    scene.add_text(10.0, FIGURE_SIZE - 10.0, f"{boundary.metric_tag} ball, r = {boundary.radius:.12g}")
     return scene

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 import metrikos as mk
@@ -189,6 +190,32 @@ class TestCheck:
             assert f"1 to {cli.MAX_RANDOM_POINTS} points, got {n}" in capsys.readouterr().err
         assert f"N <= {cli.MAX_RANDOM_POINTS}" in run_cli("check", "--help").stdout.decode()
 
+    def test_every_sample_source_is_capped_before_certifying(self, tmp_path, monkeypatch, capsys):
+        # --points and --matrix samples were not capped, so their n x n
+        # table and n^3 triangle pass had no bound; first the real cap,
+        # through the console, on a file one point past it
+        big, cap = tmp_path / "big.json", cli.MAX_RANDOM_POINTS
+        fileio.dump_points(big, sampling.random_points(np.random.default_rng(0), cap + 1))
+        res = run_cli("check", "--metric", "taxicab", "--points", str(big))
+        assert res.returncode == 2 and res.stdout == b""
+        assert res.stderr == f"error: --points {big} holds {cap + 1} points, past the cap of {cap}\n".encode()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("certified a sample past the cap")
+
+        monkeypatch.setattr(cli, "verify_axioms", refuse)
+        monkeypatch.setattr(cli, "is_isometry", refuse)
+        monkeypatch.setattr(cli, "MAX_RANDOM_POINTS", 3)
+        pts, csv = tmp_path / "pts.json", tmp_path / "m.csv"
+        fileio.dump_points(pts, [(0, 0), (1, 0), (0, 1), (1, 1)])
+        csv.write_text("0,1,1,2\n1,0,2,1\n1,2,0,1\n2,1,1,0\n")
+        swap = '{"map": "swap_axes"}'
+        for command in (["check"], ["isometry", "--map", swap]):
+            for source in (["--metric", "taxicab", "--points", str(pts)], ["--matrix", str(csv)]):
+                assert cli.main(command + source) == 2, command + source
+                err = capsys.readouterr().err
+                assert err == f"error: {source[-2]} {source[-1]} holds 4 points, past the cap of 3\n", err
+
     def test_dim_out_of_range_is_refused_before_sampling(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError("sampled out of range")
@@ -341,10 +368,11 @@ class TestIsometry:
         res = run_cli("isometry", "--map", "{not json", "--metric", "euclidean", "--random", "4")
         assert res.returncode == 2
         # a missing or misshapen field is a usage error too, not a traceback
-        for bad in ('{"map": "orthogonal"}', '{"map": "translation", "a": 5}'):
+        for bad in ('{"map": "orthogonal"}', '{"map": "translation", "a": 5}', '{"map": "rotation", "theta": 1e400}'):
             res = run_cli("isometry", "--map", bad, "--metric", "euclidean", "--random", "4")
             assert res.returncode == 2, bad
             assert res.stderr.startswith(b"error: ") and b"Traceback" not in res.stderr, bad
+            assert b"math domain" not in res.stderr, bad
 
 
 class TestGrid:

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import metrikos as mk
 from metrikos import sampling
-from metrikos.core import BLOCK_PAIRS, MAX_WITNESSES_PER_AXIOM, _triangle_witnesses
+from metrikos.core import AXIOMS, BLOCK_PAIRS, MAX_WITNESSES_PER_AXIOM, _triangle_witnesses
 
 from _support import builtin_cases
 
@@ -16,6 +16,13 @@ def planted_non_metric() -> mk.MatrixMetric:
     # squared separation |i - j|**2 on three labels: symmetric but not a metric
     values = np.array([[abs(i - j) ** 2 for j in range(3)] for i in range(3)], dtype=float)
     return mk.MatrixMetric(mk.DistanceMatrix(values))
+
+
+def assert_verdicts_read_witnesses(report) -> None:
+    """Each verdict is True exactly when its axiom has no witness."""
+    for axiom in AXIOMS:
+        assert getattr(report, f"{axiom}_ok") == (not any(w.axiom == axiom for w in report.witnesses)), axiom
+    assert report.all_ok == all(getattr(report, f"{axiom}_ok") for axiom in AXIOMS)
 
 
 def brute_force_triangle_witnesses(D, tol) -> list:
@@ -280,11 +287,13 @@ class TestVerifyAxioms:
         report = mk.verify_axioms(mk.Euclidean(), [(0, 0), (1, 0), (1, 1)])
         assert report.all_ok
         assert report.witnesses == []
+        assert_verdicts_read_witnesses(report)
 
     def test_planted_non_metric_fails_triangle(self):
         report = mk.verify_axioms(planted_non_metric(), [0, 1, 2])
         assert report.symmetry_ok and report.nonnegativity_ok and report.identity_ok
         assert not report.triangle_ok
+        assert_verdicts_read_witnesses(report)
         w = report.for_axiom("triangle")[0]
         assert w.indices == (0, 1, 2)
         assert w.lhs == 4.0
@@ -298,6 +307,7 @@ class TestVerifyAxioms:
         for spec, sample in builtin_cases(rng, n=24):
             report = mk.verify_axioms(spec, sample)
             assert report.all_ok, (spec.name, report.witnesses[:3])
+            assert_verdicts_read_witnesses(report)
         # the n^3 triangle check runs in O(n^2) memory: an n^3 float
         # temporary alone would take 128 MB at n = 256
         sample = list(sampling.random_points(rng, 256, dim=2))
@@ -326,6 +336,7 @@ class TestVerifyAxioms:
         report = mk.verify_axioms(spec, [0, 1, 2])
         assert not report.symmetry_ok
         assert not report.nonnegativity_ok
+        assert_verdicts_read_witnesses(report)
         sym = report.for_axiom("symmetry")[0]
         assert sym.indices == (0, 1)
         assert (sym.lhs, sym.rhs) == (1.0, 3.0)
@@ -337,8 +348,15 @@ class TestVerifyAxioms:
         values = np.array([[0.0, 0.0], [0.0, 0.5]])
         report = mk.verify_axioms(mk.MatrixMetric(mk.DistanceMatrix(values)), [0, 1])
         assert not report.identity_ok
+        assert_verdicts_read_witnesses(report)
         axioms = {w.indices for w in report.for_axiom("identity")}
         assert (0, 1) in axioms and (1, 1) in axioms
+        # one failed axiom and no other: distinct points closer than abs_tol,
+        # and a table that is asymmetric only
+        for report in (mk.verify_axioms(mk.Euclidean(), [(0, 0), (1e-12, 0)]),
+                       mk.verify_axioms(mk.MatrixMetric(mk.DistanceMatrix([[0, 1], [1.5, 0]])), [0, 1])):
+            assert {w.axiom for w in report.witnesses} in ({"identity"}, {"symmetry"}) and not report.all_ok
+            assert_verdicts_read_witnesses(report)
 
     def test_duplicate_points_are_the_same_point(self):
         report = mk.verify_axioms(mk.Euclidean(), [(1, 1), (1, 1), (2, 0)])
@@ -374,6 +392,7 @@ class TestVerifyAxioms:
             per_axiom[w.axiom] = per_axiom.get(w.axiom, 0) + 1
         assert all(c <= MAX_WITNESSES_PER_AXIOM for c in per_axiom.values())
         assert not report.nonnegativity_ok
+        assert_verdicts_read_witnesses(report)
         # many triangle violations: the report is the capped lexicographic
         # prefix of a brute-force scan, lhs/rhs and all
         rng = np.random.default_rng(7)
@@ -389,6 +408,7 @@ class TestVerifyAxioms:
             report = mk.verify_axioms(mk.MatrixMetric(mk.DistanceMatrix(values)), list(range(len(values))))
             assert report.symmetry_ok and report.nonnegativity_ok and not report.triangle_ok
             assert report.for_axiom("triangle") == reference[:MAX_WITNESSES_PER_AXIOM]
+            assert_verdicts_read_witnesses(report)
 
 
 class TestTrianglePass:
@@ -484,6 +504,11 @@ class TestDistanceMatrixType:
         # an entry that is not a number keeps numpy's error
         with pytest.raises(ValueError, match="could not convert"):
             mk.DistanceMatrix([[0, "a"], [1, 0]])
+        # a sequence in place of an entry is no ragged row list: numpy's
+        # "inhomogeneous shape" text used to come through here
+        for rows in ([[0, 1], [1, [0, 1]]], [[0, [1]], [1, 0]]):
+            with pytest.raises(ValueError, match="^distance matrix entries must be numbers$"):
+                mk.DistanceMatrix(rows)
 
     def test_labels_must_match(self):
         with pytest.raises(ValueError, match="label"):

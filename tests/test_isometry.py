@@ -105,6 +105,14 @@ class TestSphereMaps:
         with pytest.raises(ValueError, match="nonzero"):
             mk.rotation_about_axis((0, 0, 0), 1.0)
 
+    def test_non_finite_angle_rejected(self):
+        # math.cos(inf) raised "math domain error"; a NaN angle reached the map check
+        for theta in (math.inf, -math.inf, math.nan):
+            for build in (mk.rotation, lambda t: mk.rotation_about_axis((0, 0, 1), t),
+                          lambda t: mk.named_map("rotation", t)):
+                with pytest.raises(ValueError, match=f"^rotation angle must be finite, got {theta!r}$"):
+                    build(theta)
+
 
 class TestCompose:
     def test_translation_after_flip_is_point_reflection(self, rng):

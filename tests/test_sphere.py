@@ -235,6 +235,7 @@ class TestCircularProjection:
         batch = mk.circular_projections(c, pts)
         for p, b in zip(pts, batch):
             assert mk.circular_projection(c, p).tobytes() == b.tobytes()
+            assert mk.circular_projection(c, p).tobytes() == mk.circular_projections(c, [p])[0].tobytes()
 
 
 class TestCircleExtremalPoints:
