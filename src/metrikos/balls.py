@@ -23,6 +23,7 @@ BOUNDARY_TOL = 1e-9
 # 1e300 were off by less than 2
 _BOUNDARY_ROUNDING_UNITS = 8
 MIN_BOUNDARY_SAMPLES = 8
+DEFAULT_BOUNDARY_SAMPLES = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +161,7 @@ class BoundaryPolyline:
         object.__setattr__(self, "samples", samples)
 
 
-def ball_boundary(metric: MetricSpec, center, radius: float, n: int = 256) -> BoundaryPolyline:
+def ball_boundary(metric: MetricSpec, center, radius: float, n: int = DEFAULT_BOUNDARY_SAMPLES) -> BoundaryPolyline:
     """Trace the metric ball boundary around ``center`` with ``n`` samples.
 
     Supported metrics and their shapes: Euclidean (circle, parameterized by

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import fileio, sampling
-from .balls import _SHAPES, MIN_BOUNDARY_SAMPLES, ball_boundary
+from .balls import _SHAPES, DEFAULT_BOUNDARY_SAMPLES, MIN_BOUNDARY_SAMPLES, ball_boundary
 from .core import (
     AXIOMS,
     DEFAULT_TOL,
@@ -40,10 +40,11 @@ MAX_PRINTED_WITNESSES = 10
 
 # Input caps, checked before anything is built: certifying N points takes
 # O(N^3) time and O(N^2) memory, so a sample holds at most MAX_RANDOM_POINTS
-# points whether it comes from --random, --points or --matrix; a W x H grid
-# holds W * H vertices (as many as a graph file may), random points hold
-# --dim coordinates each, and a ball boundary --samples points.
-MAX_RANDOM_POINTS = 2048
+# points (as many as a matrix file may) whether it comes from --random,
+# --points or --matrix; a W x H grid holds W * H vertices (as many as a
+# graph file may), random points hold --dim coordinates each, and a ball
+# boundary --samples points.
+MAX_RANDOM_POINTS = fileio.MAX_MATRIX_ROWS
 MAX_GRID_VERTICES = fileio.MAX_GRAPH_VERTICES
 MAX_DIM = 256
 MAX_BOUNDARY_SAMPLES = 100_000
@@ -235,7 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=int, default=0, help="RNG seed for --random (default 0)")
         p.add_argument(
-            "--dim", type=int, default=2, help=f"dimension for random coordinate points, 1 to {MAX_DIM} (default 2)"
+            "--dim",
+            type=int,
+            default=sampling.DEFAULT_DIM,
+            help=f"dimension for random coordinate points, 1 to {MAX_DIM} (default %(default)s)",
         )
 
     p = sub.add_parser("dist", help="print the distance between two points")
@@ -258,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--samples",
         type=int,
-        default=256,
-        help=f"boundary sample count, {MIN_BOUNDARY_SAMPLES} to {MAX_BOUNDARY_SAMPLES} (default 256)",
+        default=DEFAULT_BOUNDARY_SAMPLES,
+        help=f"boundary sample count, {MIN_BOUNDARY_SAMPLES} to {MAX_BOUNDARY_SAMPLES} (default %(default)s)",
     )
     p.add_argument("--out", required=True, help="output SVG path")
     p.set_defaults(fn=cmd_ball_svg)

@@ -14,6 +14,7 @@ per-pair loop bit for bit and keeps its temporaries to one row block.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -155,9 +156,14 @@ class _Coordinates(MetricSpec):
 
     ``dim`` fixes the number of coordinates (None: any, one per sample);
     the real line is the case ``dim = 1``, so a real number is validated as
-    a 1-coordinate point. Each metric has one row kernel, ``_rows(diff)``,
-    which maps a (..., d) array of coordinate differences x - y to the (...)
-    distances.
+    a 1-coordinate point. Each metric has one formula in two forms:
+    ``_pair(xs, ys)`` on the coordinate lists of two points, and
+    ``_rows(diff)``, which maps a (..., d) array of coordinate differences
+    x - y to the (...) distances.
+
+    A distance past the float range raises CarrierError naming the pair:
+    an inf would pass every axiom compare (inf > inf is false). ``_eval``
+    checks its float, and ``_cross`` its whole table at once.
     """
 
     dim = None
@@ -168,14 +174,45 @@ class _Coordinates(MetricSpec):
     def validate_many(self, points):
         return as_points(points, self.dim)
 
+    def _eval(self, x, y):
+        # Python floats overflow to inf without numpy's RuntimeWarning
+        xs, ys = x.tolist(), y.tolist()
+        if len(xs) != len(ys):
+            same_dim(x, y)
+        d = self._pair(xs, ys)
+        if not math.isfinite(d):
+            raise self._overflow(x, y)
+        return d
+
     def _cross(self, X, Y):
         if not (len(X) and len(Y)):  # an empty side is no dimension mismatch
             return np.empty((len(X), len(Y)))
         same_dim(X[0], Y[0])
-        return _by_row_blocks(X, Y, self._block)
+        with np.errstate(over="ignore"):  # refused below
+            out = _by_row_blocks(X, Y, self._block)
+        return self._finite(out, X, Y)
+
+    def _finite(self, out: np.ndarray, X, Y) -> np.ndarray:
+        """``out``, unless a cell is not finite: then the CarrierError of the
+        first such cell in row-major order. Cell (i, j) of a table is the
+        distance from X[i] to Y[j], and cell i of a row, from X[i] to Y[i]."""
+        finite = np.isfinite(out)
+        if not finite.all():
+            k = np.unravel_index(finite.argmin(), out.shape)
+            raise self._overflow(X[k[0]], Y[k[-1]])
+        return out
+
+    def _overflow(self, x, y) -> CarrierError:
+        def text(p):
+            return f"({', '.join(map(str, p.tolist()))})"
+
+        return CarrierError(f"the {self.name} distance between {text(x)} and {text(y)} overflows the float range")
 
     def _block(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return self._rows(X[:, None, :] - Y[None, :, :])
+
+    def _pair(self, xs: list, ys: list) -> float:
+        raise NotImplementedError
 
     def _rows(self, diff: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -185,10 +222,8 @@ class _Coordinates(MetricSpec):
 class Euclidean(_Coordinates):
     name = "euclidean"
 
-    def _eval(self, x, y):
-        same_dim(x, y)
-        # hypot of a list of floats: the same value as of the array, unpacked faster
-        return math.hypot(*(x - y).tolist())
+    def _pair(self, xs, ys):
+        return math.hypot(*map(operator.sub, xs, ys))
 
     def _rows(self, diff):
         return hypot_rows(diff)
@@ -198,17 +233,16 @@ class Euclidean(_Coordinates):
 class Taxicab(_Coordinates):
     name = "taxicab"
 
-    def _eval(self, x, y):
-        same_dim(x, y)
+    def _pair(self, xs, ys):
         total = 0.0
-        for v in (x - y).tolist():  # left to right: sum() compensates on Python >= 3.12
-            total += abs(v)
+        for a, b in zip(xs, ys):  # left to right: sum() compensates on Python >= 3.12
+            total += abs(a - b)
         return total
 
     def _rows(self, diff):
         diff = np.abs(diff)
         out = diff[..., 0].copy()
-        for k in range(1, diff.shape[-1]):  # left to right, as _eval adds
+        for k in range(1, diff.shape[-1]):  # left to right, as _pair adds
             out += diff[..., k]
         return out
 
@@ -217,9 +251,8 @@ class Taxicab(_Coordinates):
 class Chebyshev(_Coordinates):
     name = "chebyshev"
 
-    def _eval(self, x, y):
-        same_dim(x, y)
-        return max(map(abs, (x - y).tolist()))
+    def _pair(self, xs, ys):
+        return max(map(abs, map(operator.sub, xs, ys)))
 
     def _rows(self, diff):
         return np.abs(diff).max(-1)
@@ -229,12 +262,12 @@ class Chebyshev(_Coordinates):
 class Discrete(_Coordinates):
     name = "discrete"
 
-    def _eval(self, x, y):
-        same_dim(x, y)
-        return 0.0 if all(a == b for a, b in zip(x, y)) else 1.0
+    def _pair(self, xs, ys):
+        return 0.0 if xs == ys else 1.0
 
     def _rows(self, diff):
-        # finite x - y is 0 exactly when x == y (subnormals, no flush to zero)
+        # finite x - y is 0 exactly when x == y (subnormals, no flush to zero);
+        # an overflowed difference is inf, not 0
         return np.where((diff == 0).all(-1), 0.0, 1.0)
 
 
@@ -243,8 +276,8 @@ class RealLine(_Coordinates):
     name = "realline"
     dim = 1
 
-    def _eval(self, x, y):
-        return abs(x.item() - y.item())  # the one coordinate of each, as floats
+    def _pair(self, xs, ys):
+        return abs(xs[0] - ys[0])
 
     def _rows(self, diff):
         return np.abs(diff[..., 0])
@@ -311,9 +344,10 @@ class GraphPath(_Indices):
 
     def _cross(self, X, Y):
         """Each pair is gathered from the SSSP row of its smaller id, fetched
-        once per call. The stacked rows keep only the columns of ids that are
-        the larger one of some pair, so they are no larger than the cached
-        rows, and the gather runs by row blocks."""
+        once per call; ``WeightedGraph.source_rows`` builds the rows not
+        cached together. The stacked rows keep only the columns of ids that
+        are the larger one of some pair, so they are no larger than the
+        cached rows, and the gather runs by row blocks."""
         xs, ys = np.asarray(X, dtype=np.intp), np.asarray(Y, dtype=np.intp)
         if not (xs.size and ys.size):
             return np.empty((len(xs), len(ys)))
@@ -322,7 +356,7 @@ class GraphPath(_Indices):
         is_source[xs[xs <= ys.max()]] = is_source[ys[ys <= xs.max()]] = True
         is_target[xs[xs >= ys.min()]] = is_target[ys[ys >= xs.min()]] = True
         targets = np.flatnonzero(is_target)
-        rows = np.array([self.graph.single_source(s)[targets] for s in np.flatnonzero(is_source).tolist()])
+        rows = np.array([row[targets] for row in self.graph.source_rows(np.flatnonzero(is_source).tolist())])
         slot, col = np.cumsum(is_source) - 1, np.cumsum(is_target) - 1  # id -> its row, its column
 
         def block(xb, ys):

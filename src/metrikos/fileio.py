@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +26,22 @@ from .points import as_integer, as_points
 MAX_GRAPH_VERTICES = 250_000
 MAX_GRAPH_EDGES = 2 * (MAX_GRAPH_VERTICES - math.isqrt(MAX_GRAPH_VERTICES))
 
+# A matrix CSV holds at most this many rows and columns of data; reading
+# stops at the first row past either.
+MAX_MATRIX_ROWS = 2048
+# A point-set file is at most this many bytes (16 MiB), checked before it is
+# parsed: room for 2048 points of 256 coordinates as ``dump_points`` writes
+# them, one coordinate of up to 24 characters per line.
+MAX_POINTS_FILE_BYTES = 2**24
+
 
 def load_points(path) -> tuple[int, np.ndarray]:
-    """Read a point-set JSON file; returns (dim, points), an (n, dim) array."""
+    """Read a point-set JSON file; returns (dim, points), an (n, dim) array.
+    A file past MAX_POINTS_FILE_BYTES bytes is refused before it is parsed."""
     with open(path) as f:
+        size = os.fstat(f.fileno()).st_size
+        if size > MAX_POINTS_FILE_BYTES:
+            raise ValueError(f"{path}: a point file of {size} bytes is past the cap of {MAX_POINTS_FILE_BYTES} bytes")
         data = json.load(f)
     if not isinstance(data, dict) or "dim" not in data or not isinstance(data.get("points"), list):
         raise ValueError(f"{path}: expected an object with 'dim' and a 'points' list")
@@ -67,12 +80,26 @@ def load_graph(path) -> WeightedGraph:
 def load_matrix_csv(path) -> DistanceMatrix:
     """Read a distance-matrix CSV, detecting an optional label header row.
 
-    Only the CSV format is checked here: the file needs data rows. The
-    ``DistanceMatrix`` that holds them checks that they are finite and
-    square; its error is raised with the path in front.
+    Only the CSV format is checked here: the file needs data rows, and at
+    most MAX_MATRIX_ROWS rows and columns of them; reading stops at the
+    first row past either. The ``DistanceMatrix`` that holds them checks
+    that they are finite and square; its error is raised with the path in
+    front.
     """
+    rows = []
     with open(path, newline="") as f:
-        rows = [row for row in csv.reader(f) if row and any(cell.strip() for cell in row)]
+        try:
+            for row in csv.reader(f):
+                if len(row) > MAX_MATRIX_ROWS:
+                    raise ValueError(
+                        f"{path}: a matrix of {len(row)} columns is past the cap of {MAX_MATRIX_ROWS} rows and columns"
+                    )
+                if row and any(cell.strip() for cell in row):
+                    rows.append(row)
+                    if len(rows) > MAX_MATRIX_ROWS + 1:  # past the data rows and a header
+                        break
+        except csv.Error as err:  # such as a field past csv.field_size_limit()
+            raise ValueError(f"{path}: {err}") from None
     if not rows:
         raise ValueError(f"{path}: empty matrix file")
     labels = None
@@ -82,6 +109,10 @@ def load_matrix_csv(path) -> DistanceMatrix:
         labels, rows = tuple(cell.strip() for cell in rows[0]), rows[1:]
         if not rows:
             raise ValueError(f"{path}: header row but no data rows")
+    if len(rows) > MAX_MATRIX_ROWS:
+        raise ValueError(
+            f"{path}: a matrix of more than {MAX_MATRIX_ROWS} rows is past the cap of {MAX_MATRIX_ROWS} rows and columns"
+        )
     try:
         return DistanceMatrix([list(map(float, row)) for row in rows], labels=labels)
     except ValueError as err:

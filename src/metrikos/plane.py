@@ -59,23 +59,28 @@ def discrete_distance(p, q) -> float:
     return distance(_DISCRETE, p, q)
 
 
-def _as_rows(P, Q):
-    """The differences P - Q of two matching (n, dim) arrays of points, each
-    row validated as the scalar functions validate a point."""
+def _rowwise(spec, P, Q) -> np.ndarray:
+    """``spec``'s row kernel over the differences P - Q of two matching (n,
+    dim) arrays of points, each row validated as the scalar functions
+    validate a point; a row whose distance overflows raises the scalar's
+    CarrierError."""
     same_shape_rows(P, Q)
-    return as_points(P) - as_points(Q)
+    P, Q = as_points(P), as_points(Q)
+    with np.errstate(over="ignore"):  # refused by _finite
+        out = spec._rows(P - Q)
+    return spec._finite(out, P, Q)
 
 
 def euclidean_distances(P, Q) -> np.ndarray:
     """Rowwise Euclidean distances between two (n, dim) point arrays."""
-    return _EUCLIDEAN._rows(_as_rows(P, Q))
+    return _rowwise(_EUCLIDEAN, P, Q)
 
 
 def taxicab_distances(P, Q) -> np.ndarray:
     """Rowwise taxicab distances between two (n, dim) point arrays."""
-    return _TAXICAB._rows(_as_rows(P, Q))
+    return _rowwise(_TAXICAB, P, Q)
 
 
 def chebyshev_distances(P, Q) -> np.ndarray:
     """Rowwise Chebyshev distances between two (n, dim) point arrays."""
-    return _CHEBYSHEV._rows(_as_rows(P, Q))
+    return _rowwise(_CHEBYSHEV, P, Q)

@@ -7,8 +7,11 @@ import numpy as np
 from .core import GreatCircle, MetricSpec, Subspace, _Indices
 from .graphs import Polyline, WeightedGraph
 
+# Coordinate points are drawn in this many dimensions unless told otherwise.
+DEFAULT_DIM = 2
 
-def random_points(rng: np.random.Generator, n: int, dim: int = 2, low: float = -1.0, high: float = 1.0) -> np.ndarray:
+
+def random_points(rng: np.random.Generator, n: int, dim: int = DEFAULT_DIM, low: float = -1.0, high: float = 1.0) -> np.ndarray:
     """Uniform points in a coordinate box, one per row."""
     return rng.uniform(low, high, size=(n, dim))
 
@@ -55,7 +58,7 @@ def random_polyline(rng: np.random.Generator, n: int) -> Polyline:
     return Polyline(pts)
 
 
-def sample_for(spec: MetricSpec, rng: np.random.Generator, n: int, dim: int = 2) -> list:
+def sample_for(spec: MetricSpec, rng: np.random.Generator, n: int, dim: int = DEFAULT_DIM) -> list:
     """Draw n random points from the carrier of ``spec``, in the dimension
     of a coordinate spec that fixes one (the real line) or else in ``dim``."""
     if isinstance(spec, GreatCircle):

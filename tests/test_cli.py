@@ -117,6 +117,12 @@ class TestDist:
         assert captured.out == ""
         assert captured.err == "error: the distance from vertex 0 to vertex 2 overflows the float range\n"
 
+    def test_an_overflowing_coordinate_distance_is_usage_error(self):
+        # it printed inf and exited 0
+        res = run_cli("dist", "--metric", "euclidean", "-p", "1e308,0", "-q=-1e308,0")
+        assert res.returncode == 2 and res.stdout == b""
+        assert res.stderr == b"error: the euclidean distance between (1e+308, 0.0) and (-1e+308, 0.0) overflows the float range\n"
+
     def test_unknown_metric_is_usage_error(self):
         res = run_cli("dist", "--metric", "hyperbolic", "-p", "0,0", "-q", "1,1")
         assert res.returncode == 2
@@ -216,6 +222,25 @@ class TestCheck:
                 err = capsys.readouterr().err
                 assert err == f"error: {source[-2]} {source[-1]} holds 4 points, past the cap of 3\n", err
 
+    def test_oversized_sample_files_are_refused_before_parsing(self, tmp_path, monkeypatch, capsys):
+        # a 2,049 x 2,049 CSV was parsed whole before the sample cap refused it
+        big, cap = tmp_path / "big.csv", fileio.MAX_MATRIX_ROWS
+        for rows, cols, message in (
+            (cap + 1, 3, f"a matrix of more than {cap} rows is past the cap of {cap} rows and columns"),
+            (2, cap + 1, f"a matrix of {cap + 1} columns is past the cap of {cap} rows and columns"),
+        ):
+            big.write_text("\n".join([",".join(["1"] * cols)] * rows) + "\n")
+            res = run_cli("check", "--matrix", str(big))
+            assert res.returncode == 2 and res.stdout == b""
+            assert res.stderr == f"error: {big}: {message}\n".encode()
+        assert cli.MAX_RANDOM_POINTS == cap
+        monkeypatch.setattr(fileio, "MAX_POINTS_FILE_BYTES", 100)
+        pts = tmp_path / "pts.json"
+        fileio.dump_points(pts, [(0.5, 0.25)] * 20)
+        size = pts.stat().st_size
+        assert cli.main(["check", "--metric", "taxicab", "--points", str(pts)]) == 2
+        assert capsys.readouterr().err == f"error: {pts}: a point file of {size} bytes is past the cap of 100 bytes\n"
+
     def test_dim_out_of_range_is_refused_before_sampling(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError("sampled out of range")
@@ -248,6 +273,16 @@ class TestCheck:
 
 
 class TestBallSvg:
+    def test_defaults_are_their_owners(self):
+        from metrikos import balls
+
+        parser = cli.build_parser()
+        args = parser.parse_args(["ball-svg", "--metric", "taxicab", "--radius", "1", "--out", "x.svg"])
+        assert args.samples == balls.DEFAULT_BOUNDARY_SAMPLES == 256
+        assert parser.parse_args(["check", "--random", "4"]).dim == sampling.DEFAULT_DIM == 2
+        for command, text in (("ball-svg", "8 to 100000 (default 256)"), ("check", "1 to 256 (default 2)")):
+            assert text in " ".join(run_cli(command, "--help").stdout.decode().split())
+
     def test_shapes_carry_their_vertices(self, tmp_path):
         from metrikos.svg import Viewport
 

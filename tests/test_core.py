@@ -264,6 +264,41 @@ class TestDistanceDispatch:
         with pytest.raises(mk.UnreachableError, match="not a metric space"):
             mk.distance(mk.GraphPath(g), 0, 3)
 
+    @pytest.mark.parametrize(
+        "spec, sample",
+        [
+            (mk.Euclidean(), [(1e308, 0.0), (-1e308, 0.0), (0.0, 0.0)]),
+            (mk.Taxicab(), [(1e308, 0.0), (-1e308, 0.0), (0.0, 0.0)]),
+            (mk.Chebyshev(), [(1e308, 0.0), (-1e308, 0.0), (0.0, 0.0)]),
+            (mk.RealLine(), [1e308, -1e308, 0.0]),
+        ],
+        ids=lambda case: getattr(case, "name", ""),
+    )
+    def test_an_overflowing_distance_raises_naming_the_pair(self, spec, sample):
+        # it was inf, with a RuntimeWarning, and inf passes every axiom compare
+        a, b = ("(1e+308)", "(-1e+308)") if spec.name == "realline" else ("(1e+308, 0.0)", "(-1e+308, 0.0)")
+        message = f"the {spec.name} distance between {a} and {b} overflows the float range"
+        with pytest.raises(mk.CarrierError) as err:
+            mk.distance(spec, sample[0], sample[1])
+        assert str(err.value) == message
+        with pytest.raises(mk.CarrierError) as err:
+            mk.verify_axioms(spec, sample)
+        assert str(err.value) == message
+        # the table names its first bad cell in row-major order
+        with pytest.raises(mk.CarrierError) as err:
+            mk.pairwise_distances(spec, sample[::-1])
+        assert str(err.value) == message.replace(f"{a} and {b}", f"{b} and {a}")
+        # each half of the way is finite, and the taxicab sum of two finite halves is not
+        assert mk.distance(spec, sample[0], sample[2]) == 1e308
+        if spec.name == "taxicab":
+            with pytest.raises(mk.CarrierError, match="overflows"):
+                mk.distance(spec, (1e308, 1e308), (0.0, 0.0))
+
+    def test_overflowing_rowwise_distances_raise(self):
+        for rowwise in (mk.euclidean_distances, mk.taxicab_distances, mk.chebyshev_distances):
+            with pytest.raises(mk.CarrierError, match=r"between \(1e\+308, 0.0\) and \(-1e\+308, 0.0\)"):
+                rowwise([[0.0, 0.0], [1e308, 0.0]], [[1.0, 1.0], [-1e308, 0.0]])
+
 
 class TestSymmetryIsExact:
     @pytest.mark.parametrize("case_index", range(10))

@@ -1,4 +1,6 @@
+import heapq
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -84,6 +86,44 @@ def per_vertex_geodesics(g, u, v):
         if b != u:
             sigma[b] = sum(sigma[a] for a, w in g._adj[b] if dist[a] + w == dist[b])
     return sigma[v]
+
+
+def heap_row(g, s):
+    """The distance row from s by a heap-only Dijkstra, as single_source once
+    built every row."""
+    dist = [math.inf] * g.vertex_count
+    dist[s] = 0.0
+    done = [False] * g.vertex_count
+    heap = [(0.0, s)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v, w in g._adj[u]:
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return np.array(dist)
+
+
+def sssp_graphs():
+    """The reference graphs of the SSSP routine, by name."""
+    rng = np.random.default_rng(16)
+    n = 150
+    wild = [(u, v, float(10.0 ** rng.uniform(-200, 200))) for u, v, _ in random_edges(rng, n, 3 * n)]
+    star = [(0, leaf, float(rng.uniform(0.5, 2.0))) for leaf in range(1, 120)] + [(1, 2, 0.25), (5, 9, 3.0)]
+    path = [(k, k + 1, float(rng.uniform(0.1, 2.0))) for k in range(299)]
+    # vertices 0..39 and 40..79 in two components, 80..84 alone
+    parts = [(u + base, v + base, w) for base in (0, 40) for u, v, w in random_edges(rng, 40, 90)]
+    return {
+        "wild-lengths": mk.WeightedGraph(n, wild),
+        "grid": mk.grid_graph(13, 11),
+        "path": mk.WeightedGraph(300, path),
+        "star": mk.WeightedGraph(120, star),
+        "two-parts-and-isolated": mk.WeightedGraph(85, parts),
+    }
 
 
 def outcome(build):
@@ -377,6 +417,75 @@ class TestWeightedGraph:
         monkeypatch.setattr(graphs, "as_index", counting)
         assert mk.shortest_path_distance(g, 10, 5) == 2.0
         assert calls == [10, 5]
+
+
+class TestSingleSourceRoutine:
+    @pytest.mark.parametrize("name", list(sssp_graphs()))
+    def test_rows_are_the_heap_rows_bit_for_bit(self, name):
+        g = sssp_graphs()[name]
+        together = mk.WeightedGraph(g.vertex_count, g.edges)
+        sources = list(range(g.vertex_count))
+        for s, row in zip(sources, together.source_rows(sources)):
+            want = heap_row(g, s).view(np.int64)
+            assert np.array_equal(g.single_source(s).view(np.int64), want), (name, s)
+            assert np.array_equal(row.view(np.int64), want), (name, s)
+
+    def test_both_phases_are_reached(self, monkeypatch):
+        calls = []
+
+        def spy(adj, dist, heap, wide, grow):
+            seeded = len(heap)
+            wide_now = settle(adj, dist, heap, wide, grow)
+            calls.append((seeded, wide, wide_now))
+            return wide_now
+
+        settle = graphs._settle
+        monkeypatch.setattr(graphs, "_settle", spy)
+        g = sssp_graphs()
+        # a path's and a grid's heap stay narrow
+        for name, source in (("path", 150), ("grid", 71)):
+            calls.clear()
+            g[name].single_source(source)
+            assert [wide_now for _, _, wide_now in calls] == [False] and g[name]._arcs_by_head is None, name
+        for name in ("wild-lengths", "two-parts-and-isolated"):
+            calls.clear()
+            g[name].single_source(1)
+            # the heap got wide, array rounds ran, and a seeded heap finished the row
+            assert calls[0][2] and g[name]._arcs_by_head is not None, name
+            assert calls[-1][1] == sys.maxsize and calls[-1][0] > 0, name
+        # the star's heap is wide once its center is popped
+        calls.clear()
+        g["star"].single_source(0)
+        assert calls[0][2] and g["star"]._arcs_by_head is not None
+
+    def test_a_small_cache_builds_each_row_once(self, monkeypatch):
+        g = sssp_graphs()["wild-lengths"]
+        want = [heap_row(g, s) for s in range(g.vertex_count)]
+        monkeypatch.setattr(graphs, "SSSP_CACHE_FLOATS", 3 * g.vertex_count)
+        monkeypatch.setattr(graphs, "SSSP_ROUND_FLOATS", 10 * (2 * len(g.edges) + g.vertex_count))
+        built = []
+        sssp = graphs.WeightedGraph._sssp
+
+        def counting(self, sources):
+            built.extend(sources)
+            return sssp(self, sources)
+
+        monkeypatch.setattr(graphs.WeightedGraph, "_sssp", counting)
+        sources = [5, 3, 5, 17, *range(20, 45), 3, 149]
+        got = list(g.source_rows(sources))
+        assert all(np.array_equal(row, want[s]) for s, row in zip(sources, got))
+        # ten rows per build; 3 and 5 were evicted and built again
+        assert built == [5, 3, 17, *range(20, 27), *range(27, 37), *range(37, 45), 3, 149]
+        assert list(g._sssp_cache) == [44, 3, 149]
+
+    def test_cross_is_distance_pair_by_pair(self, rng):
+        g = sampling.random_connected_graph(rng, 200, extra_edges=300)
+        spec = mk.GraphPath(g)
+        X, Y = rng.integers(0, 200, size=40).tolist(), rng.integers(0, 200, size=70).tolist()
+        table = spec._cross(X, Y)
+        alone = mk.GraphPath(mk.WeightedGraph(200, g.edges))  # its own cache, filled one row at a time
+        want = np.array([[mk.distance(alone, x, y) for y in Y] for x in X])
+        assert np.array_equal(table.view(np.int64), want.view(np.int64))
 
 
 class TestGridGraph:

@@ -57,6 +57,22 @@ class TestPointSetFiles:
         with pytest.raises(ValueError):
             fileio.load_points(path)
 
+    def test_a_file_past_the_byte_cap_is_not_parsed(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.json"
+        fileio.dump_points(path, [(1.0, 2.0), (3.0, 4.0)])
+        size = path.stat().st_size
+        monkeypatch.setattr(fileio, "MAX_POINTS_FILE_BYTES", size)
+        assert fileio.load_points(path)[0] == 2
+
+        def refuse(f):
+            raise AssertionError("parsed a file past the cap")
+
+        monkeypatch.setattr(fileio, "MAX_POINTS_FILE_BYTES", size - 1)
+        monkeypatch.setattr(fileio.json, "load", refuse)
+        with pytest.raises(ValueError) as err:
+            fileio.load_points(path)
+        assert str(err.value) == f"{path}: a point file of {size} bytes is past the cap of {size - 1} bytes"
+
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"points": [[1, 2]]}')
@@ -141,6 +157,36 @@ class TestMatrixCsv:
         path.write_text("0,inf\n1,0\n")
         with pytest.raises(ValueError, match="finite"):
             fileio.load_matrix_csv(path)
+
+    def test_rows_past_the_cap_are_not_read(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "MAX_MATRIX_ROWS", 3)
+        path = tmp_path / "m.csv"
+        # at the cap, with or without a header row
+        for text in ("0,1,1\n1,0,1\n1,1,0\n", "a,b,c\n0,1,1\n1,0,1\n1,1,0\n"):
+            path.write_text(text)
+            assert fileio.load_matrix_csv(path).n == 3
+        # past it: reading stops at the first row past the cap, before the rows that would fail to parse
+        tall = f"{path}: a matrix of more than 3 rows is past the cap of 3 rows and columns"
+        wide = f"{path}: a matrix of 4 columns is past the cap of 3 rows and columns"
+        for text, message in (
+            ("0,1,1\n1,0,1\n1,1,0\n1,1,1\n" + "x\n" * 5, tall),
+            ("a,b,c\n0,1,1\n1,0,1\n1,1,0\n1,1,1\n", tall),
+            ("0,1,1,1\n" + "x\n" * 5, wide),
+            ("0,1,1\n1,0,1\n1,1,0,1\n", wide),
+            ("a,b,c,d\n0,1,1,1\n", wide),
+        ):
+            path.write_text(text)
+            with pytest.raises(ValueError) as err:
+                fileio.load_matrix_csv(path)
+            assert str(err.value) == message
+
+    def test_a_field_past_the_csv_limit_is_a_value_error(self, tmp_path):
+        # csv.Error is no ValueError, so the CLI printed a traceback and exited 1
+        path = tmp_path / "m.csv"
+        path.write_text("0," + "1" * 200_000 + "\n")
+        with pytest.raises(ValueError) as err:
+            fileio.load_matrix_csv(path)
+        assert str(err.value) == f"{path}: field larger than field limit (131072)"
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
