@@ -8,7 +8,6 @@ contract everywhere: 0 success / all checks pass, 1 a certification failed
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -133,7 +132,7 @@ def _map_field(data: dict, key: str, shape: tuple, usage: str) -> np.ndarray:
 
 
 def _map_from_json(text: str):
-    data = json.loads(text)
+    data = fileio.parse_json(text, "--map")
     if not isinstance(data, dict) or not isinstance(data.get("map"), str):
         raise ValueError('map JSON must be an object with a "map" tag')
     tag = data["map"]

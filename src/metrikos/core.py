@@ -33,6 +33,13 @@ MAX_WITNESSES_PER_AXIOM = 100
 # so their temporaries stay bounded whatever the sample size.
 BLOCK_PAIRS = 4096
 
+# The triangle pass fills its slabs of d(x,y) + d(y,z) this many floats at a
+# time (512 KB), in whole rows of n floats and at least one row. Pinned, on
+# taxicab tables at n = 256 to 1024, 2**16 was as fast as 2**17 and faster
+# than 2**14; at n = 1024 one slab of all n - x rows took about 1.3 times as
+# long, since it leaves the cache.
+TRIANGLE_SLAB_FLOATS = 2**16
+
 
 def row_blocks(n: int, m: int) -> list[tuple[int, int]]:
     """(lo, hi) row ranges of an n x m table, about BLOCK_PAIRS pairs each."""
@@ -535,11 +542,20 @@ def verify_axioms(spec: MetricSpec, sample: Sequence, tol: ToleranceConfig = DEF
     which evaluates all n^2 ordered pairs in row blocks of about BLOCK_PAIRS
     pairs, so it adds O(BLOCK_PAIRS * d) memory for d coordinates, not
     O(n^2 * d), and no Python call per pair for the coordinate metrics. The
-    triangle check then takes O(n^3) time and O(n^2) memory, one slab of at
-    most n x n per x, and is most of the time once n reaches a few hundred.
-    When the table is symmetric bit for bit, as every built-in kernel's is,
-    it scans only the triples with z >= x, about n^3 / 2, and mirrors the
-    rest; a MatrixMetric whose table is not scans all n^3.
+    triangle check then takes O(n^3) time and is most of the time once n
+    reaches a few hundred; it fills row-major slabs of at most
+    TRIANGLE_SLAB_FLOATS floats (at least one row of n). When the table is
+    symmetric bit for bit, as every built-in kernel's is, it scans only the
+    triples with z >= x, about n^3 / 2, and mirrors the rest, and no
+    symmetry mask is built: each d(p,q) - d(q,p) is then 0 or NaN, which
+    no slack exceeds. A MatrixMetric whose table is not scans all n^3 over
+    a transposed copy of the table.
+
+    Memory: the table D, A = |D| and the n x n boolean masks of the
+    identity pass, about 2.5 n^2 floats at the peak on a symmetric table,
+    plus the triangle pass's candidate rows (see ``_triangle_witnesses``).
+    An asymmetric table adds its symmetry mask's temporaries and the
+    transposed copy, about 4.1 n^2 floats at the peak.
     """
     pts = _canonical_sample(spec, sample)
     D = spec._cross(pts, pts)
@@ -552,21 +568,41 @@ def verify_axioms(spec: MetricSpec, sample: Sequence, tol: ToleranceConfig = DEF
             witnesses.append(Witness(axiom, ij, float(D[ij]), 0.0 if rhs is None else float(rhs[ij])))
 
     collect("nonnegativity", D < 0)
-    collect("symmetry", np.triu(np.abs(D - D.T) > tol.abs_tol + tol.rel_tol * np.maximum(A, A.T), k=1), D.T)
+    symmetric = _bitwise_symmetric(D)
+    if not symmetric:
+        collect("symmetry", np.triu(np.abs(D - D.T) > tol.abs_tol + tol.rel_tol * np.maximum(A, A.T), k=1), D.T)
     # one class id per distinct point, so sameness is one n x n compare
     ids: dict = {}
     cls = np.array([ids.setdefault(key, len(ids)) for key in point_keys(pts)])
     collect("identity", np.where(cls[:, None] == cls[None, :], D > tol.abs_tol, D <= tol.abs_tol))
-    witnesses += _triangle_witnesses(D, A, tol)
+    witnesses += _triangle_witnesses(D, A, tol, symmetric)
     return AxiomReport(witnesses)
 
 
-def _triangle_witnesses(D: np.ndarray, A: np.ndarray, tol: ToleranceConfig) -> list[Witness]:
+def _bitwise_symmetric(D: np.ndarray) -> bool:
+    """True when D equals D.T bit for bit: -0.0 against 0.0, or two NaN
+    payloads, count as asymmetric."""
+    bits = D.view(np.int64)
+    return np.array_equal(bits, bits.T)
+
+
+def _triangle_witnesses(
+    D: np.ndarray, A: np.ndarray, tol: ToleranceConfig, symmetric: bool | None = None
+) -> list[Witness]:
     """The first MAX_WITNESSES_PER_AXIOM triples (x, y, z), in lexicographic
     order, with L > fl(r + slack), where L = d(x,z), r = fl(d(x,y) + d(y,z))
     and slack = abs_tol + rel_tol * max(|L|, |d(x,y)|, |d(y,z)|).
+    ``symmetric`` is ``_bitwise_symmetric(D)``, computed here when not given.
 
-    One slab per x: rhs[y, z] = r for every y and for z from lo to n - 1.
+    Row-major slabs: E is D when D equals D.T bit for bit, and a contiguous
+    copy of D.T otherwise, so E[z, y] is D[y, z] either way. For each x and z
+    from lo to n - 1, row z of the slab is fl(D[x, y] + E[z, y]) = r over
+    every y, filled for a run of z rows of at most TRIANGLE_SLAB_FLOATS
+    floats at a time (one row at least) and reduced along the row with
+    ``np.fmin.reduce`` (which skips NaN) to column z's least r. The rows of
+    the candidate columns below are recomputed as D[x] + E[cols]: the same
+    additions of the same floats, so they are the slab's floats, and the
+    witnesses do not depend on where a slab ends.
 
     Mirror: when D equals D.T bit for bit, lo = x; otherwise lo = 0. The
     triple (z, y, x) compares d(z,x) = L with fl(d(z,y) + d(y,x)) = r, since
@@ -591,26 +627,37 @@ def _triangle_witnesses(D: np.ndarray, A: np.ndarray, tol: ToleranceConfig) -> l
     abs_tol) >= fl(L) = L. Either way (x, y, z) is no witness. The threshold
     drops every triple with r == L, such as taxicab's bit-tight ones. A NaN
     rhs fails the compare and NaN lhs gives a NaN t, as neither can witness.
+
+    Memory: besides D, A and E, one slab buffer and, per x, the candidate
+    rows, len(cols) x n floats. On the built-in kernels' tables few columns
+    are candidates; on a badly broken table a row can have n of them, and
+    its witnesses soon reach the cap.
     """
     n = D.shape[0]
-    bits = D.view(np.int64)
-    symmetric = np.array_equal(bits, bits.T)
-    buf = np.empty(n * n)
+    if symmetric is None:
+        symmetric = _bitwise_symmetric(D)
+    E = D if symmetric else np.ascontiguousarray(D.T)
+    step = max(1, TRIANGLE_SLAB_FLOATS // n)
+    buf = np.empty(min(step, n) * n)
+    least = np.empty(n)
     mirrors: dict[int, list[Witness]] = {}  # row z -> witnesses (z, y, x) found at row x < z
     found: list[Witness] = []
     for x in range(n):
         lo = x if symmetric else 0
-        L = D[x, lo:]
-        rhs = buf[: n * len(L)].reshape(n, len(L))  # contiguous: a strided slab is slower
-        np.add(D[x, :, None], D[:, lo:], out=rhs)
+        L, Dx = D[x, lo:], D[x]
+        for a in range(lo, n, step):
+            b = min(a + step, n)
+            slab = buf[: (b - a) * n].reshape(b - a, n)
+            np.add(Dx, E[a:b], out=slab)
+            np.fmin.reduce(slab, axis=1, out=least[a - lo : b - lo])
         t = np.minimum(L, np.nextafter(L - tol.abs_tol, np.inf))
         row = mirrors.pop(x, [])
-        cols = np.flatnonzero(np.fmin.reduce(rhs, axis=0) < t)  # fmin skips NaN
+        cols = np.flatnonzero(least[: n - lo] < t)
         if cols.size:
-            ys, k = np.nonzero(rhs[:, cols] < t[cols])  # in (y, z) order
-            zs = cols[k]
-            lhs, r = L[zs], rhs[ys, zs]
-            zs += lo
+            rhs = Dx + E[cols + lo]  # rhs[k, y] is r for z = cols[k] + lo
+            ys, k = np.nonzero((rhs < t[cols, None]).T)  # in (y, z) order
+            lhs, r = L[cols[k]], rhs[k, ys]
+            zs = cols[k] + lo
             slack = tol.abs_tol + tol.rel_tol * np.maximum(A[x, zs], np.maximum(A[x, ys], A[ys, zs]))
             hits = np.flatnonzero(lhs > r + slack)[: MAX_WITNESSES_PER_AXIOM - len(found)]
             row += [Witness("triangle", (x, int(ys[h]), int(zs[h])), float(lhs[h]), float(r[h])) for h in hits]

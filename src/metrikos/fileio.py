@@ -35,6 +35,16 @@ MAX_MATRIX_ROWS = 2048
 MAX_POINTS_FILE_BYTES = 2**24
 
 
+def parse_json(text: str, source) -> object:
+    """``json.loads(text)``; JSON nested past the interpreter's recursion
+    limit raises a ValueError that names ``source`` (a file or a flag), not
+    a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{source}: JSON nested too deeply to parse") from None
+
+
 def load_points(path) -> tuple[int, np.ndarray]:
     """Read a point-set JSON file; returns (dim, points), an (n, dim) array.
     A file past MAX_POINTS_FILE_BYTES bytes is refused before it is parsed."""
@@ -42,7 +52,7 @@ def load_points(path) -> tuple[int, np.ndarray]:
         size = os.fstat(f.fileno()).st_size
         if size > MAX_POINTS_FILE_BYTES:
             raise ValueError(f"{path}: a point file of {size} bytes is past the cap of {MAX_POINTS_FILE_BYTES} bytes")
-        data = json.load(f)
+        data = parse_json(f.read(), path)
     if not isinstance(data, dict) or "dim" not in data or not isinstance(data.get("points"), list):
         raise ValueError(f"{path}: expected an object with 'dim' and a 'points' list")
     dim = as_integer(data["dim"], f"{path}: dim")
@@ -64,7 +74,7 @@ def load_graph(path) -> WeightedGraph:
     MAX_GRAPH_VERTICES vertices or MAX_GRAPH_EDGES edges is refused before
     the graph is built."""
     with open(path) as f:
-        data = json.load(f)
+        data = parse_json(f.read(), path)
     edges = data.get("edges") if isinstance(data, dict) else None
     if not (isinstance(edges, list) and "vertices" in data
             and all(isinstance(e, list) and len(e) == 3 and type(e[2]) in (int, float) for e in edges)):

@@ -108,6 +108,14 @@ class TestDist:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err == f"error: {gfile}: {message}\n"
 
+    def test_deeply_nested_graph_file_is_usage_error(self, tmp_path, capsys):
+        # json's RecursionError once ended in a traceback and exit 1
+        gfile = tmp_path / "g.json"
+        gfile.write_text('{"vertices": 2, "edges": ' + "[" * 100_000 + "}")
+        assert cli.main(["dist", "--metric", "graphpath", "--graph", str(gfile), "-p", "0", "-q", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {gfile}: JSON nested too deeply to parse\n"
+
     def test_an_overflowed_graph_distance_is_usage_error(self, tmp_path, capsys):
         # it once read as "no path joins vertices 0 and 2"
         gfile = tmp_path / "g.json"
@@ -240,6 +248,13 @@ class TestCheck:
         size = pts.stat().st_size
         assert cli.main(["check", "--metric", "taxicab", "--points", str(pts)]) == 2
         assert capsys.readouterr().err == f"error: {pts}: a point file of {size} bytes is past the cap of 100 bytes\n"
+
+    def test_deeply_nested_points_file_is_usage_error(self, tmp_path):
+        pts = tmp_path / "deep.json"
+        pts.write_text('{"dim": 2, "points": ' + "[" * 100_000 + "}")
+        res = run_cli("check", "--metric", "euclidean", "--points", str(pts))
+        assert res.returncode == 2 and res.stdout == b""
+        assert res.stderr == f"error: {pts}: JSON nested too deeply to parse\n".encode()
 
     def test_dim_out_of_range_is_refused_before_sampling(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):
@@ -408,6 +423,12 @@ class TestIsometry:
             assert res.returncode == 2, bad
             assert res.stderr.startswith(b"error: ") and b"Traceback" not in res.stderr, bad
             assert b"math domain" not in res.stderr, bad
+
+    def test_deeply_nested_map_json_is_usage_error(self, capsys):
+        argv = ["isometry", "--map", "[" * 100_000, "--metric", "euclidean", "--random", "4"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: --map: JSON nested too deeply to parse\n"
 
 
 class TestGrid:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import metrikos as mk
-from metrikos import sampling
+from metrikos import core, sampling
 from metrikos.core import AXIOMS, BLOCK_PAIRS, MAX_WITNESSES_PER_AXIOM, _triangle_witnesses
 
 from _support import builtin_cases
@@ -93,6 +93,18 @@ def tie_table() -> tuple:
     below lhs."""
     D = np.array([[0.0, 1.0, 1.0 + 2.0**-52], [1.0, 0.0, 0.0], [1.0 + 2.0**-52, 0.0, 0.0]])
     return D, mk.ToleranceConfig(2.0**-53, 0.0)
+
+
+def brute_force_symmetry_witnesses(D, tol) -> list:
+    """Every symmetry violation of D, one pair i < j at a time, in (i, j) order."""
+    n = len(D)
+    found = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            slack = tol.abs_tol + tol.rel_tol * max(abs(D[i, j]), abs(D[j, i]))
+            if abs(D[i, j] - D[j, i]) > slack:
+                found.append(mk.Witness("symmetry", (i, j), float(D[i, j]), float(D[j, i])))
+    return found
 
 
 def hexed(witnesses) -> list:
@@ -445,6 +457,50 @@ class TestVerifyAxioms:
             assert report.for_axiom("triangle") == reference[:MAX_WITNESSES_PER_AXIOM]
             assert_verdicts_read_witnesses(report)
 
+    @pytest.mark.parametrize(
+        "cell, mirror, symmetric_at_default_tol",
+        [((0, 2), lambda v: -v, True),  # points 0 and 2 are the same point
+         ((3, 6), lambda v: np.nextafter(v, math.inf), True),
+         ((3, 6), lambda v: v + 0.01, False)],
+        ids=["signed-zero", "one-ulp", "past-the-slack"],
+    )
+    def test_one_asymmetric_cell(self, cell, mirror, symmetric_at_default_tol):
+        # a taxicab table, symmetric bit for bit except for one mirrored cell
+        P = [(0, 0), (1, 2), (0, 0), (2, 1), (3, 3), (1, 2), (2, 0), (0, 3)]
+        D = mk.pairwise_distances(mk.Taxicab(), P)
+        i, j = cell
+        D[j, i] = mirror(D[i, j])
+        assert not np.array_equal(D.view(np.int64), D.T.view(np.int64))
+        for tol in TOLERANCES:
+            report = mk.verify_axioms(mk.MatrixMetric(mk.DistanceMatrix(D)), list(range(len(P))), tol)
+            assert report.for_axiom("symmetry") == brute_force_symmetry_witnesses(D, tol)
+            assert hexed(report.for_axiom("triangle")) == hexed(
+                brute_force_triangle_witnesses(D, tol)[:MAX_WITNESSES_PER_AXIOM]
+            )
+            assert_verdicts_read_witnesses(report)
+            if tol == mk.ToleranceConfig():
+                assert report.symmetry_ok == symmetric_at_default_tol
+
+    def test_memory_is_bounded_in_table_floats(self, rng):
+        # D and |D| are 2 n^2 floats; the identity masks add about n^2 / 2
+        # (bools), and the triangle pass one slab and its candidate rows. An
+        # asymmetric table adds its symmetry mask's temporaries and its
+        # transposed copy.
+        n = 512
+        sample = list(sampling.random_points(rng, n, dim=3))
+        asymmetric = mk.pairwise_distances(mk.Taxicab(), sample)
+        asymmetric[0, 1] += 0.5
+        matrix = mk.MatrixMetric(mk.DistanceMatrix(asymmetric))
+        for spec, points, bound in ((mk.Taxicab(), sample, 3.0), (matrix, list(range(n)), 4.13)):
+            tracemalloc.start()
+            try:
+                report = mk.verify_axioms(spec, points)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.all_ok == (spec is not matrix)
+            assert peak <= bound * 8 * n * n, f"{spec.name}: {peak / (8 * n * n):.2f} n^2 floats"
+
 
 class TestTrianglePass:
     @settings(max_examples=400, deadline=None, derandomize=True)
@@ -476,6 +532,45 @@ class TestTrianglePass:
         # the cap falls inside a row, after its mirrored witnesses
         x = got[-1].indices[0]
         assert any(w.indices[0] == x and w.indices[2] < x for w in got)
+        assert any(w.indices[0] == x for w in reference[MAX_WITNESSES_PER_AXIOM:])
+
+    # one row per slab, and a bound that ends in the middle of the third row,
+    # so a slab holds two rows; a bound below one row still fills one row
+    @pytest.mark.parametrize("slab_floats", [lambda n: 1, lambda n: 2 * n + n // 2], ids=["one-row", "mid-row"])
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=triangle_tables())
+    @example(case=(signed_zero_table(), mk.ToleranceConfig()))
+    @example(case=tie_table())
+    def test_matches_brute_force_in_small_slabs(self, slab_floats, case):
+        D, tol = case
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(core, "TRIANGLE_SLAB_FLOATS", slab_floats(len(D)))
+            got = _triangle_witnesses(D, np.abs(D), tol)
+            want = brute_force_triangle_witnesses(D, tol)[:MAX_WITNESSES_PER_AXIOM]
+        assert hexed(got) == hexed(want)
+
+    def test_asymmetric_cap_across_slab_boundaries(self, monkeypatch):
+        # a line whose pairs k = 2..5 apart are stretched by k / 2 above the
+        # diagonal only, so the pass scans all of each row over the
+        # transposed copy; row x holds witnesses (x, y, x + k), and with two
+        # rows per slab they lie in more than one slab
+        n = 40
+        i, j = np.indices((n, n))
+        D = np.abs(i - j).astype(float)
+        for k in (2, 3, 4, 5):
+            D[j - i == k] += k / 2
+        assert not np.array_equal(D, D.T)
+        monkeypatch.setattr(core, "TRIANGLE_SLAB_FLOATS", 2 * n + n // 2)
+        reference = brute_force_triangle_witnesses(D, mk.ToleranceConfig())
+        assert len(reference) > MAX_WITNESSES_PER_AXIOM
+        got = _triangle_witnesses(D, np.abs(D), mk.ToleranceConfig())
+        assert hexed(got) == hexed(reference[:MAX_WITNESSES_PER_AXIOM])
+        report = mk.verify_axioms(mk.MatrixMetric(mk.DistanceMatrix(D)), list(range(n)))
+        assert hexed(report.for_axiom("triangle")) == hexed(got)
+        assert_verdicts_read_witnesses(report)
+        x = got[-1].indices[0]
+        assert len({w.indices[2] // 2 for w in got if w.indices[0] == x}) > 1
+        # the cap falls inside row x
         assert any(w.indices[0] == x for w in reference[MAX_WITNESSES_PER_AXIOM:])
 
 

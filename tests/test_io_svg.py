@@ -84,6 +84,14 @@ class TestPointSetFiles:
             with pytest.raises(ValueError, match="'points' list"):
                 fileio.load_points(path)
 
+    def test_deeply_nested_json_is_a_value_error(self, tmp_path):
+        # json's RecursionError once passed through the CLI as a traceback
+        path = tmp_path / "deep.json"
+        path.write_text('{"dim": 2, "points": ' + "[" * 100_000 + "}")
+        with pytest.raises(ValueError) as err:
+            fileio.load_points(path)
+        assert str(err.value) == f"{path}: JSON nested too deeply to parse"
+
 
 class TestGraphFiles:
     def test_load(self, tmp_path):
@@ -121,6 +129,13 @@ class TestGraphFiles:
                 fileio.load_graph(path)
         path.write_text(json.dumps({"vertices": 3.0, "edges": [[0, 1.0, 1.0]]}))
         assert fileio.load_graph(path).edges == ((0, 1, 1.0),)
+
+    def test_deeply_nested_json_is_a_value_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"vertices": 2, "edges": ' + "[" * 100_000 + "}")
+        with pytest.raises(ValueError) as err:
+            fileio.load_graph(path)
+        assert str(err.value) == f"{path}: JSON nested too deeply to parse"
 
 
 class TestMatrixCsv:
