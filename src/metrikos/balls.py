@@ -44,8 +44,8 @@ class Ball:
 
 def ball_contains(b: Ball, x) -> bool:
     """Strict membership test: distance(center, x) < radius. The center
-    was validated when the ball was built, so only ``x`` is checked here."""
-    return b.metric._eval(b.center, b.metric.validate_point(x)) < b.radius
+    was validated when the ball was built, so only ``x`` is read here."""
+    return b.metric._eval(b.center, b.metric._read(x)) < b.radius
 
 
 class NestingWitness(NamedTuple):

@@ -8,7 +8,9 @@ witnesses for every violated axiom.
 
 Every spec evaluates one pair with ``_eval`` and a whole table with
 ``_cross``; the built-in specs give ``_cross`` a batch kernel that equals the
-per-pair loop bit for bit and keeps its temporaries to one row block.
+per-pair loop bit for bit and keeps its temporaries to one row block. A
+scalar distance reads each of its two points with ``_read``, which the
+coordinate specs answer with the point's floats, building no array.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from . import sphere
 from .errors import CarrierError
 from .graphs import Polyline, WeightedGraph, no_path_error
-from .points import as_index, as_indices, as_point, as_points, hypot_rows, point_keys, same_dim
+from .points import _point_floats, as_index, as_indices, as_point, as_points, hypot_rows, point_keys, same_dim
 
 # Certification keeps at most this many witnesses per axiom, in lexicographic
 # index order, to bound report size on badly broken inputs.
@@ -140,6 +142,11 @@ class MetricSpec:
         """
         return [self.validate_point(x) for x in points]
 
+    def _read(self, x):
+        """``x`` in a form that ``_eval`` takes, checked as ``validate_point``
+        checks it; this default is ``validate_point`` itself."""
+        return self.validate_point(x)
+
     def _eval(self, x, y) -> float:
         """Distance between two already-validated carrier points."""
         raise NotImplementedError
@@ -168,6 +175,10 @@ class _Coordinates(MetricSpec):
     ``_rows(diff)``, which maps a (..., d) array of coordinate differences
     x - y to the (...) distances.
 
+    ``_read`` gives a point's coordinates as a list of Python floats, equal
+    to ``validate_point(x).tolist()``, and ``_eval`` takes such lists or
+    ``validate_point``'s arrays, so a scalar distance builds no array.
+
     A distance past the float range raises CarrierError naming the pair:
     an inf would pass every axiom compare (inf > inf is false). ``_eval``
     checks its float, and ``_cross`` its whole table at once.
@@ -181,14 +192,18 @@ class _Coordinates(MetricSpec):
     def validate_many(self, points):
         return as_points(points, self.dim)
 
+    def _read(self, x):
+        return _point_floats(x, self.dim)
+
     def _eval(self, x, y):
         # Python floats overflow to inf without numpy's RuntimeWarning
-        xs, ys = x.tolist(), y.tolist()
+        xs = x if type(x) is list else x.tolist()
+        ys = y if type(y) is list else y.tolist()
         if len(xs) != len(ys):
-            same_dim(x, y)
+            same_dim(xs, ys)
         d = self._pair(xs, ys)
         if not math.isfinite(d):
-            raise self._overflow(x, y)
+            raise self._overflow(xs, ys)
         return d
 
     def _cross(self, X, Y):
@@ -206,14 +221,14 @@ class _Coordinates(MetricSpec):
         finite = np.isfinite(out)
         if not finite.all():
             k = np.unravel_index(finite.argmin(), out.shape)
-            raise self._overflow(X[k[0]], Y[k[-1]])
+            raise self._overflow(X[k[0]].tolist(), Y[k[-1]].tolist())
         return out
 
-    def _overflow(self, x, y) -> CarrierError:
+    def _overflow(self, xs: list, ys: list) -> CarrierError:
         def text(p):
-            return f"({', '.join(map(str, p.tolist()))})"
+            return f"({', '.join(map(str, p))})"
 
-        return CarrierError(f"the {self.name} distance between {text(x)} and {text(y)} overflows the float range")
+        return CarrierError(f"the {self.name} distance between {text(xs)} and {text(ys)} overflows the float range")
 
     def _block(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return self._rows(X[:, None, :] - Y[None, :, :])
@@ -462,9 +477,7 @@ def restrict(spec: MetricSpec, allowed: Sequence) -> Subspace:
 
 def distance(spec: MetricSpec, x, y) -> float:
     """Distance between two carrier points under the selected metric."""
-    cx = spec.validate_point(x)
-    cy = spec.validate_point(y)
-    return float(spec._eval(cx, cy))
+    return float(spec._eval(spec._read(x), spec._read(y)))
 
 
 class Witness(NamedTuple):
@@ -551,26 +564,32 @@ def verify_axioms(spec: MetricSpec, sample: Sequence, tol: ToleranceConfig = DEF
     no slack exceeds. A MatrixMetric whose table is not scans all n^3 over
     a transposed copy of the table.
 
-    Memory: the table D, A = |D| and the n x n boolean masks of the
-    identity pass, about 2.5 n^2 floats at the peak on a symmetric table,
-    plus the triangle pass's candidate rows (see ``_triangle_witnesses``).
-    An asymmetric table adds its symmetry mask's temporaries and the
-    transposed copy, about 4.1 n^2 floats at the peak.
+    Memory: the table D and the identity pass's n x n boolean masks, about
+    1.5 n^2 floats at the peak on a symmetric table (tracemalloc: 1.56 n^2
+    at n = 512, 1.53 n^2 at n = 1024); the triangle pass then holds D, one
+    slab and its candidate rows (see ``_triangle_witnesses``). An
+    asymmetric table adds the pass's transposed copy and builds its
+    symmetry mask by row blocks: 2.31 n^2 at n = 512, where one slab is
+    n^2 / 4 floats, and 2.08 n^2 at n = 1024. The slacks read A = |D|,
+    which is D itself unless an entry is negative; such a table holds A
+    too, n^2 floats more.
     """
     pts = _canonical_sample(spec, sample)
     D = spec._cross(pts, pts)
-    A = np.abs(D)
     witnesses: list[Witness] = []
 
-    def collect(axiom, mask, rhs=None):
+    def collect(axiom, mask):
         for idx in np.argwhere(mask)[:MAX_WITNESSES_PER_AXIOM]:
             ij = tuple(int(k) for k in idx)
-            witnesses.append(Witness(axiom, ij, float(D[ij]), 0.0 if rhs is None else float(rhs[ij])))
+            witnesses.append(Witness(axiom, ij, float(D[ij]), 0.0))
 
     collect("nonnegativity", D < 0)
+    # the slacks take magnitudes A = |D|; with no negative entry, so no
+    # witness yet, that is D, as a zero's sign leaves each slack as it is
+    A = np.abs(D) if witnesses else D
     symmetric = _bitwise_symmetric(D)
     if not symmetric:
-        collect("symmetry", np.triu(np.abs(D - D.T) > tol.abs_tol + tol.rel_tol * np.maximum(A, A.T), k=1), D.T)
+        witnesses += _symmetry_witnesses(D, A, tol)
     # one class id per distinct point, so sameness is one n x n compare
     ids: dict = {}
     cls = np.array([ids.setdefault(key, len(ids)) for key in point_keys(pts)])
@@ -586,6 +605,27 @@ def _bitwise_symmetric(D: np.ndarray) -> bool:
     return np.array_equal(bits, bits.T)
 
 
+# Both passes compare rounded sums and differences of table entries; one
+# past the float range is +-inf, and is compared as it is, with no warning.
+@np.errstate(over="ignore")
+def _symmetry_witnesses(D: np.ndarray, A: np.ndarray, tol: ToleranceConfig) -> list[Witness]:
+    """The first MAX_WITNESSES_PER_AXIOM pairs (p, q), p < q, in
+    lexicographic order, with |d(p,q) - d(q,p)| > abs_tol + rel_tol *
+    max(|d(p,q)|, |d(q,p)|), where A = |D|. The mask is built by
+    ``row_blocks``, over the columns right of the diagonal, so its
+    temporaries hold about BLOCK_PAIRS floats each."""
+    found: list[Witness] = []
+    for lo, hi in row_blocks(*D.shape):
+        upper, lower = D[lo:hi, lo:], D[lo:, lo:hi].T  # cell (i, j) is d(lo + i, lo + j), d(lo + j, lo + i)
+        slack = tol.abs_tol + tol.rel_tol * np.maximum(A[lo:hi, lo:], A[lo:, lo:hi].T)
+        hits = np.argwhere(np.triu(np.abs(upper - lower) > slack, k=1))[: MAX_WITNESSES_PER_AXIOM - len(found)]
+        found += [Witness("symmetry", (lo + i, lo + j), float(upper[i, j]), float(lower[i, j])) for i, j in hits.tolist()]
+        if len(found) >= MAX_WITNESSES_PER_AXIOM:
+            break
+    return found
+
+
+@np.errstate(over="ignore")
 def _triangle_witnesses(
     D: np.ndarray, A: np.ndarray, tol: ToleranceConfig, symmetric: bool | None = None
 ) -> list[Witness]:

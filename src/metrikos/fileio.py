@@ -36,11 +36,14 @@ MAX_POINTS_FILE_BYTES = 2**24
 
 
 def parse_json(text: str, source) -> object:
-    """``json.loads(text)``; JSON nested past the interpreter's recursion
-    limit raises a ValueError that names ``source`` (a file or a flag), not
-    a RecursionError."""
+    """``json.loads(text)``, or a ValueError that names ``source`` (a file or
+    a flag): for a syntax error, json's message with the source in front,
+    and for JSON nested past the interpreter's recursion limit, which json
+    raises as a RecursionError, a message of its own."""
     try:
         return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{source}: {err}") from None
     except RecursionError:
         raise ValueError(f"{source}: JSON nested too deeply to parse") from None
 

@@ -250,7 +250,7 @@ class WeightedGraph:
         it is bitwise symmetric in (u, v). UnreachableError when no path
         joins them."""
         source, target = (u, v) if u <= v else (v, u)
-        d = float(self.single_source(source)[target])
+        d = self.single_source(source).item(target)
         if math.isinf(d):
             raise no_path_error(u, v)
         return d

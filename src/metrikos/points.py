@@ -10,7 +10,9 @@ validator rejects raises the scalar validator's error.
   a point of one coordinate; ``as_points`` coerces a batch to the rows of
   one fresh (n, d) float64 array, or raises. They are the only way in for
   coordinates. Coordinates are integers or floats: bools and strings raise
-  CarrierError.
+  CarrierError. A scalar distance reads its points with ``_point_floats``,
+  which gives ``as_point(p, dim).tolist()`` and builds no array for a point
+  already of float64 or Python floats.
 * Sphere points: ``sphere.sphere_point`` and ``sphere.sphere_points``, built
   on the coordinate pair with d = 3.
 * Indices (graph vertices, polyline vertices, matrix rows): ``as_index``
@@ -38,6 +40,7 @@ import numpy as np
 from .errors import CarrierError
 
 _FLOAT64 = np.dtype(float)
+_FLOAT_TYPE = {float}
 
 
 def as_point(p, dim: int | None = None) -> np.ndarray:
@@ -60,6 +63,25 @@ def as_point(p, dim: int | None = None) -> np.ndarray:
     if dim is not None and arr.size != dim:
         raise ValueError(f"expected a {dim}-dimensional point, got {arr.size} coordinates")
     return arr
+
+
+def _point_floats(p, dim: int | None = None) -> list:
+    """``as_point(p, dim).tolist()``, the same floats, with no array built
+    for a 1-D float64 array, a Python float, or a tuple or list of Python
+    floats. Any other input, and one of those that is empty, not finite or
+    of another length than ``dim``, goes through ``as_point``, so the inputs
+    accepted and the errors raised are its own."""
+    kind = type(p)
+    if kind is np.ndarray:
+        xs = p.tolist() if p.ndim == 1 and p.dtype is _FLOAT64 else None
+    elif kind is tuple or kind is list:
+        # the first coordinate sends a point of ints to as_point at once
+        xs = [*p] if p and type(p[0]) is float and set(map(type, p)) == _FLOAT_TYPE else None
+    else:
+        xs = [p] if kind is float else None
+    if xs and (dim is None or len(xs) == dim) and all(map(math.isfinite, xs)):
+        return xs
+    return as_point(p, dim).tolist()
 
 
 def as_points(points: Sequence, dim: int | None = None) -> np.ndarray:
@@ -157,9 +179,10 @@ def hypot_rows(V: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.hypot, *flat.T.tolist()), float, len(flat)).reshape(V.shape[:-1])
 
 
-def same_dim(p: np.ndarray, q: np.ndarray) -> None:
-    if p.size != q.size:
-        raise ValueError(f"dimension mismatch: {p.size} vs {q.size}")
+def same_dim(p, q) -> None:
+    """ValueError unless the points p and q, 1-D arrays or coordinate lists, have one length."""
+    if len(p) != len(q):
+        raise ValueError(f"dimension mismatch: {len(p)} vs {len(q)}")
 
 
 def same_shape_rows(P, Q) -> None:

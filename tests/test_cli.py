@@ -116,6 +116,13 @@ class TestDist:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {gfile}: JSON nested too deeply to parse\n"
 
+    def test_truncated_graph_file_is_usage_error_naming_the_file(self, tmp_path, capsys):
+        gfile = tmp_path / "g.json"
+        gfile.write_text('{"vertices": 2, "edges": [[0, 1, 1.0]')
+        assert cli.main(["dist", "--metric", "graphpath", "--graph", str(gfile), "-p", "0", "-q", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {gfile}: Expecting ',' delimiter: line 1 column 38 (char 37)\n"
+
     def test_an_overflowed_graph_distance_is_usage_error(self, tmp_path, capsys):
         # it once read as "no path joins vertices 0 and 2"
         gfile = tmp_path / "g.json"
@@ -256,6 +263,13 @@ class TestCheck:
         assert res.returncode == 2 and res.stdout == b""
         assert res.stderr == f"error: {pts}: JSON nested too deeply to parse\n".encode()
 
+    def test_truncated_points_file_is_usage_error_naming_the_file(self, tmp_path):
+        pts = tmp_path / "trunc.json"
+        pts.write_text('{"dim": 2, "points": [[0.5, 0.25], [1')
+        res = run_cli("check", "--metric", "euclidean", "--points", str(pts))
+        assert res.returncode == 2 and res.stdout == b""
+        assert res.stderr == f"error: {pts}: Expecting ',' delimiter: line 1 column 38 (char 37)\n".encode()
+
     def test_dim_out_of_range_is_refused_before_sampling(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError("sampled out of range")
@@ -285,6 +299,15 @@ class TestCheck:
         f.write_text("0,1,2\n1,0\n")
         res = run_cli("check", "--matrix", str(f))
         assert res.returncode == 2
+
+    def test_entries_near_the_float_range_certify_without_a_warning(self, tmp_path):
+        # the triangle pass's sums of two such entries overflow to inf; numpy
+        # once printed a RuntimeWarning for them on stderr
+        f = tmp_path / "big.csv"
+        f.write_text("0,1.7e308,1.7e308\n1.7e308,0,1.7e308\n1.7e308,1.7e308,0\n")
+        res = run_cli("check", "--matrix", str(f))
+        assert res.returncode == 0 and res.stderr == b""
+        assert res.stdout.endswith(b"RESULT PASS\n")
 
 
 class TestBallSvg:
@@ -429,6 +452,12 @@ class TestIsometry:
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: --map: JSON nested too deeply to parse\n"
+
+    def test_malformed_map_json_names_the_flag(self, capsys):
+        argv = ["isometry", "--map", '{"map": "translation", "a": [1, 2', "--metric", "euclidean", "--random", "4"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: --map: Expecting ',' delimiter: line 1 column 34 (char 33)\n"
 
 
 class TestGrid:

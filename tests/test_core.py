@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import metrikos as mk
 from metrikos import core, sampling
-from metrikos.core import AXIOMS, BLOCK_PAIRS, MAX_WITNESSES_PER_AXIOM, _triangle_witnesses
+from metrikos.core import AXIOMS, BLOCK_PAIRS, MAX_WITNESSES_PER_AXIOM, _symmetry_witnesses, _triangle_witnesses
 
 from _support import builtin_cases
 
@@ -93,6 +94,13 @@ def tie_table() -> tuple:
     below lhs."""
     D = np.array([[0.0, 1.0, 1.0 + 2.0**-52], [1.0, 0.0, 0.0], [1.0 + 2.0**-52, 0.0, 0.0]])
     return D, mk.ToleranceConfig(2.0**-53, 0.0)
+
+
+def negative_table() -> np.ndarray:
+    """Negative entries whose magnitudes set the slack: (0, 1) is within
+    the slack of |D| by 2**-21 and (0, 1, 2) by 2**-20, and a slack taken
+    from the signed entries, below zero, would report both."""
+    return np.array([[0.0, -1e6, -2e6 + 2.0**-20], [-1e6 - 2.0**-21, 0.0, -1e6], [-2e6 + 2.0**-20, -1e6, 0.0]])
 
 
 def brute_force_symmetry_witnesses(D, tol) -> list:
@@ -239,6 +247,58 @@ class TestBatchKernel:
             tracemalloc.stop()
         assert D.shape == (384, 384)
         assert peak < 2 * 2**20, f"pairwise_distances peaked at {peak / 2**20:.2f} MB"
+
+
+COORDINATE_SPECS = (mk.Euclidean(), mk.Taxicab(), mk.Chebyshev(), mk.Discrete(), mk.RealLine())
+
+
+def same_point_forms(p: np.ndarray) -> list:
+    """A 1-D float64 point in each form that gives it the same coordinates:
+    the array, a strided view of it, a list and a tuple of floats, numpy
+    float64 items, and for one coordinate the float, a numpy float64 and a
+    0-d array."""
+    xs = p.tolist()
+    forms = [p, np.repeat(p, 2)[::2], xs, tuple(xs), [np.float64(x) for x in xs]]
+    if len(xs) == 1:
+        forms += [xs[0], np.float64(xs[0]), np.array(xs[0])]
+    return forms
+
+
+class TestScalarPath:
+    """``distance`` and ``ball_contains`` read coordinate points as Python
+    floats, with no array; the answers and errors are those of the
+    validated points."""
+
+    @pytest.mark.parametrize("spec", COORDINATE_SPECS, ids=lambda spec: spec.name)
+    def test_scalar_distances_are_the_kernel_bits_for_every_form(self, rng, spec):
+        dim = 1 if spec.name == "realline" else 3
+        sample = wide_range_points(rng, 12, dim)
+        D = mk.pairwise_distances(spec, sample)
+        for i, j in rng.integers(0, 12, size=(8, 2)).tolist() + [(2, 7), (4, 4)]:
+            want = D[i, j].hex()
+            for x in same_point_forms(sample[i]):
+                for y in same_point_forms(sample[j])[:3]:
+                    assert mk.distance(spec, x, y).hex() == want, (spec.name, x, y)
+            ball = mk.Ball(spec, sample[i], D[i, j] if D[i, j] > 0 else 1.0)
+            for y in same_point_forms(sample[j]):
+                assert mk.ball_contains(ball, y) == (D[i, j] < ball.radius)
+            assert mk.ball_contains(mk.Ball(spec, sample[i], np.nextafter(D[i, j], math.inf)), sample[j])
+
+    @pytest.mark.parametrize("spec", COORDINATE_SPECS, ids=lambda spec: spec.name)
+    def test_scalar_errors_are_those_of_the_validated_points(self, spec):
+        def validated(x, y):
+            return float(spec._eval(spec.validate_point(x), spec.validate_point(y)))
+
+        good = 0.5 if spec.name == "realline" else (0.5, 0.25)
+        bad = [math.nan, (math.inf, 0.0), (1.0, 2.0, 3.0), (0.5,), "a", True, [], [[0.5, 0.25]], None,
+               (1e308, 1e308), (-1e308, -1e308), -1e308, np.array([0.5, math.nan]), (0, True)]
+        ball = mk.Ball(spec, good, 1.0)
+        for x in bad:
+            for args in ((x, good), (good, x), (x, x)):
+                want = outcome(lambda: validated(*args))
+                assert outcome(lambda: mk.distance(spec, *args)) == want, (spec.name, args)
+            want = outcome(lambda: spec._eval(ball.center, spec.validate_point(x)) < 1.0)
+            assert outcome(lambda: mk.ball_contains(ball, x)) == want, (spec.name, x)
 
 
 class TestDistanceDispatch:
@@ -572,6 +632,124 @@ class TestTrianglePass:
         assert len({w.indices[2] // 2 for w in got if w.indices[0] == x}) > 1
         # the cap falls inside row x
         assert any(w.indices[0] == x for w in reference[MAX_WITNESSES_PER_AXIOM:])
+
+
+class TestSymmetryPass:
+    # one row per block, and blocks that end in the middle of the second row
+    @pytest.mark.parametrize("block_pairs", [lambda n: 1, lambda n: n + n // 2], ids=["one-row", "mid-row"])
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=triangle_tables())
+    @example(case=(signed_zero_table(), mk.ToleranceConfig()))
+    def test_matches_brute_force_by_row_blocks(self, block_pairs, case):
+        D, tol = case
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(core, "BLOCK_PAIRS", block_pairs(len(D)))
+            got = _symmetry_witnesses(D, np.abs(D), tol)
+            want = brute_force_symmetry_witnesses(D, tol)[:MAX_WITNESSES_PER_AXIOM]
+        assert hexed(got) == hexed(want)
+
+    def test_cap_inside_a_block(self, monkeypatch):
+        # every pair is asymmetric; with two rows per block, rows 0 and 1
+        # give 39 + 38 witnesses, and the cap falls inside the next block,
+        # at row 2
+        n = 40
+        D = np.arange(n * n, dtype=float).reshape(n, n)
+        monkeypatch.setattr(core, "BLOCK_PAIRS", 2 * n)
+        reference = brute_force_symmetry_witnesses(D, mk.ToleranceConfig())
+        got = _symmetry_witnesses(D, np.abs(D), mk.ToleranceConfig())
+        assert hexed(got) == hexed(reference[:MAX_WITNESSES_PER_AXIOM])
+        assert got[-1].indices[0] == 2 and reference[MAX_WITNESSES_PER_AXIOM].indices[0] == 2
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=triangle_tables())
+    @example(case=(negative_table(), mk.ToleranceConfig()))
+    def test_reports_on_finite_tables_match_brute_force(self, case):
+        # signed tables take |D| for their slacks, and the others D itself
+        D, tol = case
+        if not np.isfinite(D).all():
+            D = np.where(np.isfinite(D), D, 1.0)
+        # entries near the float range overflow without a warning
+        report = mk.verify_axioms(mk.MatrixMetric(mk.DistanceMatrix(D)), list(range(len(D))), tol)
+        negative = [mk.Witness("nonnegativity", (i, j), float(D[i, j]), 0.0) for i, j in np.argwhere(D < 0).tolist()]
+        assert report.for_axiom("nonnegativity") == negative[:MAX_WITNESSES_PER_AXIOM]
+        with np.errstate(over="ignore"):
+            symmetry, triangle = brute_force_symmetry_witnesses(D, tol), brute_force_triangle_witnesses(D, tol)
+        assert hexed(report.for_axiom("symmetry")) == hexed(symmetry[:MAX_WITNESSES_PER_AXIOM])
+        assert hexed(report.for_axiom("triangle")) == hexed(triangle[:MAX_WITNESSES_PER_AXIOM])
+        assert_verdicts_read_witnesses(report)
+
+    def test_asymmetric_table_memory_is_bounded_in_table_floats(self, rng):
+        # the symmetry mask is built by row blocks, and a table with no
+        # negative entry is its own |D|: D, the transposed copy and one slab
+        # (n^2 / 4 floats at n = 512) remain, where the whole-table mask
+        # peaked at 4.13 n^2
+        n = 512
+        sample = list(sampling.random_points(rng, n, dim=3))
+        asymmetric = mk.pairwise_distances(mk.Taxicab(), sample)
+        asymmetric[0, 1] += 0.5
+        matrix = mk.MatrixMetric(mk.DistanceMatrix(asymmetric))
+        for spec, points, bound in ((mk.Taxicab(), sample, 2.0), (matrix, list(range(n)), 3.2)):
+            tracemalloc.start()
+            try:
+                report = mk.verify_axioms(spec, points)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.symmetry_ok == (spec is not matrix)
+            assert peak < bound * 8 * n * n, f"{spec.name}: {peak / (8 * n * n):.2f} n^2 floats"
+
+
+def exact_triangle_excess(D, tol, factor) -> list:
+    """The triples (x, y, z) of D whose d(x,z) - (d(x,y) + d(y,z)) exceeds
+    ``factor`` times the slack, in exact rational arithmetic."""
+    F = [[Fraction(float(v)) for v in row] for row in D]
+    a, r = Fraction(tol.abs_tol), Fraction(tol.rel_tol)
+    n = len(D)
+    return [
+        (x, y, z)
+        for x in range(n) for y in range(n) for z in range(n)
+        if F[x][z] - (F[x][y] + F[y][z]) > factor * (a + r * max(abs(F[x][z]), abs(F[x][y]), abs(F[y][z])))
+    ]
+
+
+@st.composite
+def planted_metric_tables(draw):
+    """(D, tol, (i, k)): a metric table on n <= 10 points, taxicab on a
+    small lattice (zeros, bit-tight triples) or entries in [s, 2s] (any such
+    symmetric table is a metric), with the entry d(i, k) = d(k, i) raised
+    above its triangle bound, min over y of d(i,y) + d(y,k), by more than
+    twice the slack."""
+    n = draw(st.integers(3, 10))
+    scale = draw(st.sampled_from([1e-6, 1.0, 3.7, 1e6, 1e150]))
+    if draw(st.booleans()):
+        coords = st.lists(st.integers(-3, 3), min_size=2, max_size=2)
+        P = np.array(draw(st.lists(coords, min_size=n, max_size=n)), dtype=float) * scale
+        D = mk.pairwise_distances(mk.Taxicab(), list(P))
+    else:
+        cells = draw(st.lists(st.floats(1.0, 2.0), min_size=n * n, max_size=n * n))
+        D = np.triu(np.array(cells).reshape(n, n) * scale, 1)
+        D = D + D.T
+    tol = draw(st.sampled_from([mk.ToleranceConfig(), mk.ToleranceConfig(1e-3, 1e-6)]))
+    i, k = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    bound = min(Fraction(D[i, y]) + Fraction(D[y, k]) for y in range(n) if y not in (i, k))
+    e = draw(st.sampled_from([3, 10, 1000]))
+    a, r = Fraction(tol.abs_tol), Fraction(tol.rel_tol)
+    D[i, k] = D[k, i] = float((bound + e * a) * (1 + e * r))
+    return D, tol, (i, k)
+
+
+class TestNoMiss:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=planted_metric_tables())
+    def test_every_violation_past_twice_the_slack_is_reported(self, case):
+        D, tol, (i, k) = case
+        report = mk.verify_axioms(mk.MatrixMetric(mk.DistanceMatrix(D)), list(range(len(D))), tol)
+        found = {w.indices for w in report.for_axiom("triangle")}
+        assert len(found) < MAX_WITNESSES_PER_AXIOM
+        excess = exact_triangle_excess(D, tol, 2)
+        assert {(i, k), (k, i)} <= {(x, z) for x, _, z in excess}
+        assert set(excess) <= found
+        assert_verdicts_read_witnesses(report)
 
 
 class TestRestrict:

@@ -92,6 +92,14 @@ class TestPointSetFiles:
             fileio.load_points(path)
         assert str(err.value) == f"{path}: JSON nested too deeply to parse"
 
+    def test_a_json_syntax_error_names_the_file(self, tmp_path):
+        # json's own message once came without the file it was about
+        path = tmp_path / "trunc.json"
+        path.write_text('{"dim": 2, "points": [[0.5, 0.25], [1')
+        with pytest.raises(ValueError) as err:
+            fileio.load_points(path)
+        assert str(err.value) == f"{path}: Expecting ',' delimiter: line 1 column 38 (char 37)"
+
 
 class TestGraphFiles:
     def test_load(self, tmp_path):
@@ -136,6 +144,13 @@ class TestGraphFiles:
         with pytest.raises(ValueError) as err:
             fileio.load_graph(path)
         assert str(err.value) == f"{path}: JSON nested too deeply to parse"
+
+    def test_a_json_syntax_error_names_the_file(self, tmp_path):
+        path = tmp_path / "trunc.json"
+        path.write_text('{"vertices": 2, "edges": [[0, 1, 1.0]')
+        with pytest.raises(ValueError) as err:
+            fileio.load_graph(path)
+        assert str(err.value) == f"{path}: Expecting ',' delimiter: line 1 column 38 (char 37)"
 
 
 class TestMatrixCsv:

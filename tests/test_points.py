@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import metrikos as mk
-from metrikos.points import as_indices, as_point, as_points
+from metrikos import points
+from metrikos.points import _point_floats, as_indices, as_point, as_points
 
 from _support import builtin_cases, case_id
 
@@ -169,3 +170,65 @@ def test_a_batch_that_is_not_a_sequence_is_refused(batch):
         mk.WeightedGraph(2, [(0, 1, 1.0)], coords=batch)
     # a generator is a sequence of points
     assert as_points(p for p in [(0, 1), (2, 3)]).tolist() == [[0.0, 1.0], [2.0, 3.0]]
+
+
+# floats at the edges of the range, and the non-finite ones
+EDGE_FLOATS = (-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, *NON_FINITE)
+any_float = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+odd_coordinate = st.one_of(
+    any_float,
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    any_float.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.text(max_size=2),
+    st.none(),
+)
+any_point = st.one_of(
+    odd_coordinate,
+    st.lists(odd_coordinate, max_size=4),
+    st.lists(odd_coordinate, max_size=4).map(tuple),
+    st.lists(any_float, max_size=5),
+    st.lists(any_float, max_size=5).map(tuple),
+    st.lists(st.lists(any_float, max_size=2), max_size=3),  # nested, ragged or empty
+    st.lists(any_float, max_size=5).map(np.array),
+    st.lists(any_float, max_size=5).map(lambda v: np.array(v)[::-1]),  # a strided view
+    any_float.map(np.array),  # 0-d
+    st.lists(st.floats(width=32), max_size=4).map(lambda v: np.array(v, dtype=np.float32)),
+    st.lists(st.integers(-5, 5), max_size=4).map(np.array),
+    st.lists(st.lists(any_float, min_size=2, max_size=2), max_size=2).map(np.array),  # 2-D
+)
+
+
+def read_outcome(read, p, dim):
+    """The coordinates as float.hex strings, or the type and message of
+    what ``read`` raises."""
+    try:
+        xs = read(p, dim)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+    assert type(xs) is list and all(type(x) is float for x in xs)
+    return [x.hex() for x in xs]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(p=any_point, dim=st.one_of(st.none(), st.integers(1, 4)))
+def test_the_scalar_reader_is_as_point_tolist(p, dim):
+    # the same floats, signed zeros and subnormals too, or the same error
+    want = read_outcome(lambda p, dim: as_point(p, dim).tolist(), p, dim)
+    assert read_outcome(_point_floats, p, dim) == want
+
+
+@pytest.mark.parametrize(
+    "p, dim",
+    [((0.5, -0.0), 2), ([5e-324, 1e308, -1e308], None), (0.25, 1), (np.array([1.5, -2.0]), 2),
+     (np.array([3.0, 1.0, 2.0])[::2], None)],
+)
+def test_the_scalar_reader_builds_no_array_for_floats(monkeypatch, p, dim):
+    def refuse(*args):
+        raise AssertionError("as_point was called")
+
+    want = as_point(p, dim).tolist()
+    monkeypatch.setattr(points, "as_point", refuse)
+    assert [x.hex() for x in _point_floats(p, dim)] == [x.hex() for x in want]
