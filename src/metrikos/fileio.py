@@ -25,6 +25,11 @@ from .points import as_integer, as_points
 # and at most the edges of the largest grid under it, the 500 x 500 one.
 MAX_GRAPH_VERTICES = 250_000
 MAX_GRAPH_EDGES = 2 * (MAX_GRAPH_VERTICES - math.isqrt(MAX_GRAPH_VERTICES))
+# A graph file is at most this many bytes (32 MiB), checked before it is
+# parsed: the 500 x 500 grid with random float lengths in [0.1, 2) and random
+# 2-D float coords in [-1, 1), as ``json.dumps`` writes it, takes 28.0 MiB
+# (17.6 MiB without coords).
+MAX_GRAPH_FILE_BYTES = 2**25
 
 # A matrix CSV holds at most this many rows and columns of data; reading
 # stops at the first row past either.
@@ -74,9 +79,13 @@ def dump_points(path, points) -> None:
 
 def load_graph(path) -> WeightedGraph:
     """Read a graph JSON file into a WeightedGraph. A file past
-    MAX_GRAPH_VERTICES vertices or MAX_GRAPH_EDGES edges is refused before
-    the graph is built."""
+    MAX_GRAPH_FILE_BYTES bytes is refused before it is parsed, and one past
+    MAX_GRAPH_VERTICES vertices or MAX_GRAPH_EDGES edges before the graph
+    is built."""
     with open(path) as f:
+        size = os.fstat(f.fileno()).st_size
+        if size > MAX_GRAPH_FILE_BYTES:
+            raise ValueError(f"{path}: a graph file of {size} bytes is past the cap of {MAX_GRAPH_FILE_BYTES} bytes")
         data = parse_json(f.read(), path)
     edges = data.get("edges") if isinstance(data, dict) else None
     if not (isinstance(edges, list) and "vertices" in data

@@ -42,8 +42,9 @@ class WeightedGraph:
     vertex count and the ids are integers, checked as ``as_integer`` checks
     them, so no id is silently truncated. The checked edges are kept once,
     in input order, as an int64 (2, m) id array and a float64 (m,) length
-    array; ``edges`` reads them back as (int, int, float) triples, and the
-    adjacency lists that Dijkstra walks are built from them. ``coords``
+    array; ``edges`` reads them back as (int, int, float) triples. One arc
+    layout is built from those arrays (see ``_set_edges``); both phases of
+    the shortest-path routine and geodesic counting read it. ``coords``
     optionally embeds each vertex (used by grids): one point per vertex, the
     rows of an (n, d) array. Shortest-path rows are memoized per source, up
     to ``SSSP_CACHE_FLOATS`` floats in all, oldest out first; the graph must
@@ -54,7 +55,6 @@ class WeightedGraph:
         vertex_count = as_integer(vertex_count, "vertex_count")
         if vertex_count <= 0:
             raise ValueError(f"vertex_count must be positive, got {vertex_count}")
-        self.vertex_count = vertex_count
         # one pass reads the edges, up to the first one it cannot read; the
         # edges before it are checked by array passes
         raw, us, vs, lengths, unread = [], [], [], [], None
@@ -74,30 +74,61 @@ class WeightedGraph:
         except Exception as err:
             unread = err
         try:
-            self._ids = np.array([us, vs], dtype=np.int64)
+            ids = np.array([us, vs], dtype=np.int64)
         except OverflowError:  # an id past int64, which the range check refuses
-            self._ids = np.array([us, vs], dtype=object)
-        self._lengths = np.array(lengths, dtype=float)
-        fault = _first_edge_fault(vertex_count, self._ids, self._lengths, raw)
+            ids = np.array([us, vs], dtype=object)
+        self._set_edges(vertex_count, ids, np.array(lengths, dtype=float), raw.__getitem__, unread, coords)
+
+    @classmethod
+    def _from_arrays(cls, vertex_count: int, ids: np.ndarray, lengths: np.ndarray, coords=None) -> WeightedGraph:
+        """The graph of a positive int ``vertex_count`` and the edges
+        (ids[:, k], lengths[k]) of an int64 (2, m) and a float64 (m,) array,
+        checked and laid out as ``__init__`` checks and lays out the edges
+        it reads."""
+        g = cls.__new__(cls)
+        g._set_edges(vertex_count, ids, lengths, lambda k: (*ids[:, k].tolist(), lengths.item(k)), None, coords)
+        return g
+
+    def _set_edges(self, n: int, ids: np.ndarray, lengths: np.ndarray, edge, unread, coords) -> None:
+        """Check the edges (ids, lengths), of which ``edge(k)`` is the k-th
+        as given, raise ``unread`` if one could not be read, and lay out
+        their arcs once.
+
+        The layout holds both directions of every edge, stably sorted by
+        head, each head's arcs in edge order: ``_arcs_by_head`` keeps their
+        tails, their lengths, and where each head's run starts. A vertex
+        that no edge meets gets one arc from itself of infinite length,
+        which lowers no label and is never tight, so that every vertex heads
+        a nonempty run for ``np.minimum.reduceat``. ``_adj[u]`` is the run
+        of u without that arc, as (tail, length) pairs. ``_heap_sizes`` is
+        (wide, grow) for ``_sssp``: popping ``wide`` heap entries takes
+        about as long as an array round over the 2m arcs and n labels of a
+        row, and one pop grows the heap by at most ``grow`` entries, one per
+        arc of a longest run less the entry popped.
+        """
+        fault = _first_edge_fault(n, ids, lengths, edge)
         if fault is not None:
             raise ValueError(fault)
         if unread is not None:
             raise unread
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(vertex_count)]
-        for u, v, length in zip(us, vs, lengths):
-            adj[u].append((v, length))
-            adj[v].append((u, length))
-        self._adj = tuple(tuple(nbrs) for nbrs in adj)
         if coords is not None:
             coords = as_points(coords)
-            if len(coords) != vertex_count:
+            if len(coords) != n:
                 raise ValueError("coords must list one point per vertex")
-        self.coords = coords
+        self.vertex_count, self._ids, self._lengths, self.coords = n, ids, lengths, coords
+        degree = np.bincount(ids.ravel(), minlength=n)
+        bare = np.flatnonzero(degree == 0)
+        runs = np.maximum(degree, 1)
+        order = np.argsort(np.concatenate([ids.T.ravel(), bare]), kind="stable")
+        tails = np.concatenate([ids[::-1].T.ravel(), bare])[order]
+        arc_lengths = np.concatenate([lengths.repeat(2), np.full(len(bare), math.inf)])[order]
+        starts = np.cumsum(runs) - runs
+        self._arcs_by_head = tails, arc_lengths, starts
+        arcs = list(zip(tails.tolist(), arc_lengths.tolist()))
+        self._adj = tuple(tuple(arcs[a : a + d]) for a, d in zip(starts.tolist(), degree.tolist()))
+        wide = ROUND_FIXED_POPS - (-(2 * len(lengths) + n) // ROUND_ARCS_PER_POP)
+        self._heap_sizes = wide, max(1, int(runs.max()) - 1)
         self._sssp_cache: dict[int, np.ndarray] = {}
-        # set on first use by _sssp; every attribute is set here, so that
-        # attribute reads keep their fast path
-        self._heap_sizes: tuple[int, int] | None = None
-        self._arcs_by_head: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def edges(self) -> tuple:
@@ -204,8 +235,6 @@ class WeightedGraph:
         that a later push made stale.
         """
         adj, n = self._adj, self.vertex_count
-        if self._heap_sizes is None:
-            self._heap_sizes = _find_heap_sizes(n, self._ids, self._lengths)
         wide, grow = self._heap_sizes
         rows: list = [None] * len(sources)
         joined, wide_rows = [], []
@@ -219,8 +248,6 @@ class WeightedGraph:
                 rows[k] = np.array(dist)
         if not joined:
             return rows
-        if self._arcs_by_head is None:
-            self._arcs_by_head = _sort_arcs_by_head(n, self._ids, self._lengths)
         tails, lengths, starts = self._arcs_by_head
         labels = np.array(wide_rows)
         while joined:
@@ -256,34 +283,6 @@ class WeightedGraph:
         return d
 
 
-def _find_heap_sizes(n: int, ids: np.ndarray, lengths: np.ndarray) -> tuple[int, int]:
-    """(wide, grow) for a graph of n vertices and the edges (ids, lengths):
-    popping ``wide`` heap entries takes about as long as an array round over
-    the 2m arcs and n labels of a row, and one pop grows the heap by at most
-    ``grow`` entries: one per arc of a vertex of largest degree, less the
-    entry popped."""
-    wide = ROUND_FIXED_POPS - (-(2 * len(lengths) + n) // ROUND_ARCS_PER_POP)
-    degree = np.bincount(ids.ravel(), minlength=n).max()
-    return wide, max(1, int(degree) - 1)
-
-
-def _sort_arcs_by_head(n: int, ids: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both directions of every edge (ids, lengths) of a graph of n
-    vertices, as (tails, lengths) sorted by head, and where each head's run
-    starts. A vertex with no edge gets one arc from itself of infinite
-    length, which lowers no label, so every vertex heads one nonempty run
-    and ``np.minimum.reduceat`` gives one least candidate per vertex."""
-    bare = np.ones(n, dtype=bool)
-    bare[ids.ravel()] = False
-    alone = np.flatnonzero(bare)
-    tails = np.concatenate([ids[0], ids[1], alone])
-    heads = np.concatenate([ids[1], ids[0], alone])
-    lengths = np.concatenate([lengths, lengths, np.full(len(alone), math.inf)])
-    order = np.argsort(heads, kind="stable")
-    starts = np.searchsorted(heads[order], np.arange(n))
-    return tails[order], lengths[order], starts
-
-
 def _settle(adj, dist: list, heap: list, wide: int, grow: int) -> bool:
     """Dijkstra's heap phase: pop the least (label, vertex) entry of
     ``heap``, skip it if a later push made it stale, and lower ``dist`` over
@@ -313,15 +312,15 @@ def _settle(adj, dist: list, heap: list, wide: int, grow: int) -> bool:
     return False
 
 
-def _first_edge_fault(n: int, ids: np.ndarray, lengths: np.ndarray, raw: list) -> str | None:
-    """The error message for the first edge ``raw[k]``, in input order, that
+def _first_edge_fault(n: int, ids: np.ndarray, lengths: np.ndarray, edge) -> str | None:
+    """The error message for the first edge ``edge(k)``, in input order, that
     references a vertex outside 0..n-1, is a loop, has a length that is not
     finite and positive, or repeats an earlier undirected edge, checked in
     that order; None when every edge holds. Edge k has the ids ``ids[:, k]``
     (an object array when one id is past int64) and the length
-    ``lengths[k]``."""
+    ``lengths[k]``; ``edge(k)`` is the edge as its caller gave it."""
     outside = ((ids < 0) | (ids >= n)).any(0)
-    cut = int(outside.argmax()) if outside.any() else len(raw)
+    cut = int(outside.argmax()) if outside.any() else len(lengths)
     # the edges before the first one out of range, whose ids all fit int64
     u, v = ids[:, :cut].astype(np.int64)
     length = lengths[:cut]
@@ -338,10 +337,10 @@ def _first_edge_fault(n: int, ids: np.ndarray, lengths: np.ndarray, raw: list) -
         if loop[k]:
             return f"loop edge at vertex {u[k]} is not allowed"
         if bad_length[k]:
-            return f"edge {raw[k]} must have a finite positive length"
+            return f"edge {edge(k)} must have a finite positive length"
         return f"duplicate undirected edge {tuple(sorted(ids[:, k].tolist()))}"
-    if cut < len(raw):
-        return f"edge {raw[cut]} references a vertex outside 0..{n - 1}"
+    if cut < len(lengths):
+        return f"edge {edge(cut)} references a vertex outside 0..{n - 1}"
     return None
 
 
@@ -372,20 +371,24 @@ def grid_graph(width: int, height: int) -> WeightedGraph:
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be at least 1")
     # for each vertex in row-major order, its right edge and then its down edge
-    ids = np.arange(width * height)
+    ids = np.arange(width * height, dtype=np.int64)
     tails = np.repeat(ids, 2)
     heads = tails + np.tile([1, width], width * height)
     keep = np.column_stack([ids % width + 1 < width, ids // width + 1 < height]).ravel()
-    edges = list(zip(tails[keep].tolist(), heads[keep].tolist(), itertools.repeat(1)))
     # built as floats, so as_points copies them once and casts nothing
     xs, ys = np.arange(width, dtype=float), np.arange(height, dtype=float)
     coords = np.column_stack([np.tile(xs, height), np.repeat(ys, width)])
-    return WeightedGraph(width * height, edges, coords=coords)
+    return WeightedGraph._from_arrays(width * height, np.stack([tails[keep], heads[keep]]), np.ones(keep.sum()), coords)
 
 
 def grid_vertex(width: int, i: int, j: int) -> int:
-    """Vertex id of lattice point (i, j) in a grid of the given width."""
-    return as_integer(j, "j") * as_integer(width, "grid width") + as_integer(i, "i")
+    """Vertex id of lattice point (i, j) in a grid of the given width.
+    CarrierError for an i outside 0..width-1 or a negative j, which would
+    alias the id of another point."""
+    j, width, i = as_integer(j, "j"), as_integer(width, "grid width"), as_integer(i, "i")
+    if not (0 <= i < width and j >= 0):
+        raise CarrierError(f"lattice point ({i}, {j}) is outside a grid of width {width}")
+    return j * width + i
 
 
 def count_geodesics(g: WeightedGraph, u, v) -> int:
@@ -423,8 +426,9 @@ def count_geodesics(g: WeightedGraph, u, v) -> int:
     row = g.single_source(s)
     if math.isinf(row[t]):
         raise no_path_error(u, v)
-    tails, heads = np.concatenate([g._ids, g._ids[::-1]], axis=1)
-    tight = (row[tails] + np.tile(lengths, 2) == row[heads]) & (row[heads] <= row[t])
+    tails, arc_lengths, starts = g._arcs_by_head
+    heads = np.repeat(np.arange(g.vertex_count), np.diff(starts, append=len(tails)))
+    tight = (row[tails] + arc_lengths == row[heads]) & (row[heads] <= row[t])
     tails, heads = tails[tight], heads[tight]
     order = np.argsort(row[tails], kind="stable")
     sigma = [0] * g.vertex_count

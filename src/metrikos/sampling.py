@@ -45,7 +45,7 @@ def random_connected_graph(rng: np.random.Generator, n: int, extra_edges: int = 
         present.add(key)
         edges.append(key)
     lengths = rng.uniform(0.1, 2.0, size=len(edges))
-    return WeightedGraph(n, [(u, v, float(w)) for (u, v), w in zip(edges, lengths)])
+    return WeightedGraph._from_arrays(n, np.array(edges, dtype=np.int64).reshape(-1, 2).T, lengths)
 
 
 def random_polyline(rng: np.random.Generator, n: int) -> Polyline:

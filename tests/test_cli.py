@@ -108,6 +108,36 @@ class TestDist:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err == f"error: {gfile}: {message}\n"
 
+    def test_grid_graph_file_at_the_byte_cap_is_read(self, tmp_path):
+        # the 500 x 500 grid's edges with random float lengths, and random 2-D float coords
+        rng = np.random.default_rng(19)
+        ids = mk.grid_graph(500, 500)._ids
+        lengths = rng.uniform(0.1, 2.0, size=ids.shape[1])
+        coords = rng.uniform(-1.0, 1.0, size=(500 * 500, 2))
+        gfile = tmp_path / "g.json"
+        edges = [[u, v, w] for u, v, w in zip(*ids.tolist(), lengths.tolist())]
+        gfile.write_text(json.dumps({"vertices": 500 * 500, "edges": edges, "coords": coords.tolist()}))
+        del edges
+        assert 28 * 2**20 <= gfile.stat().st_size <= fileio.MAX_GRAPH_FILE_BYTES == 32 * 2**20
+        g = fileio.load_graph(gfile)
+        assert g.vertex_count == 500 * 500 and np.array_equal(g._ids, ids)
+        assert np.array_equal(g._lengths, lengths) and np.array_equal(g.coords, coords)
+
+    def test_graph_file_past_the_byte_cap_is_refused_before_parsing(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("parsed a graph file past the byte cap")
+
+        gfile = tmp_path / "g.json"
+        text = json.dumps({"vertices": 2, "edges": [[0, 1, 1.0]]})
+        # valid JSON up to the last byte, one byte past the cap
+        gfile.write_text(text + " " * (fileio.MAX_GRAPH_FILE_BYTES + 1 - len(text)))
+        monkeypatch.setattr(fileio, "parse_json", refuse)
+        assert cli.main(["dist", "--metric", "graphpath", "--graph", str(gfile), "-p", "0", "-q", "1"]) == 2
+        captured = capsys.readouterr()
+        size = fileio.MAX_GRAPH_FILE_BYTES + 1
+        assert captured.out == ""
+        assert captured.err == f"error: {gfile}: a graph file of {size} bytes is past the cap of {fileio.MAX_GRAPH_FILE_BYTES} bytes\n"
+
     def test_deeply_nested_graph_file_is_usage_error(self, tmp_path, capsys):
         # json's RecursionError once ended in a traceback and exit 1
         gfile = tmp_path / "g.json"

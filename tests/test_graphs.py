@@ -251,6 +251,11 @@ class TestEdgeChecksMatchThePerEdgeReference:
                 edges = [(0, 1, 1.0), unread, first]
                 assert graph_outcome(3, edges) == outcome(lambda: per_edge_graph(3, edges))
 
+    def test_a_read_error_comes_before_a_coords_error(self):
+        for coords in ([(0, 0)], [(0, 0), (True, False)]):
+            with pytest.raises(ValueError, match="not enough values to unpack"):
+                mk.WeightedGraph(2, [(0, 1, 1.0), (0, 1)], coords=coords)
+
     def test_edges_from_an_iterator(self):
         edges = [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 1.5)]
         assert graph_outcome(3, iter(edges)) == per_edge_graph(3, edges)
@@ -430,6 +435,35 @@ class TestSingleSourceRoutine:
             assert np.array_equal(g.single_source(s).view(np.int64), want), (name, s)
             assert np.array_equal(row.view(np.int64), want), (name, s)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_array_entry_is_the_triples_entry(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        for n, extra in ((1, 0), (2, 0), (30, 10), (150, 400), (400, 100)):
+            g = sampling.random_connected_graph(rng, n, extra_edges=extra)
+            from_triples = mk.WeightedGraph(n, [(u, v, w) for u, v, w in g.edges])
+            assert (g.edges, g._adj) == (from_triples.edges, from_triples._adj)
+            assert all(np.array_equal(a, b) for a, b in zip(g._arcs_by_head, from_triples._arcs_by_head))
+            for s in range(n):
+                assert np.array_equal(g.single_source(s).view(np.int64), from_triples.single_source(s).view(np.int64))
+
+    def test_a_bare_vertex_has_only_its_padding_arc(self):
+        # vertices 2, 5 and 6 meet no edge; 6 is the last, so its run ends the layout
+        g = mk.WeightedGraph(7, [(0, 1, 2.0), (3, 1, 1.0), (4, 3, 1.0), (0, 4, 3.0)])
+        tails, lengths, starts = g._arcs_by_head
+        assert starts.tolist() == [0, 2, 4, 5, 7, 9, 10]
+        assert tails.tolist() == [1, 4, 0, 3, 2, 1, 4, 3, 0, 5, 6]
+        assert lengths.tolist() == [2.0, 3.0, 2.0, 1.0, math.inf, 1.0, 1.0, 1.0, 3.0, math.inf, math.inf]
+        assert g._adj[2] == g._adj[5] == g._adj[6] == () and g._adj[3] == ((1, 1.0), (4, 1.0))
+        assert g._adj == per_edge_graph(7, g.edges)[1]
+        for s in range(7):
+            row = g.single_source(s)
+            assert np.array_equal(row, heap_row(g, s))
+            for t in range(7):
+                if math.isfinite(row[t]):
+                    assert mk.count_geodesics(g, s, t) == per_vertex_geodesics(g, min(s, t), max(s, t))
+        # a bare source counts its one path to itself, and nothing reaches it
+        assert mk.count_geodesics(g, 5, 5) == 1 and mk.count_geodesics(mk.WeightedGraph(1, []), 0, 0) == 1
+
     def test_both_phases_are_reached(self, monkeypatch):
         calls = []
 
@@ -446,17 +480,17 @@ class TestSingleSourceRoutine:
         for name, source in (("path", 150), ("grid", 71)):
             calls.clear()
             g[name].single_source(source)
-            assert [wide_now for _, _, wide_now in calls] == [False] and g[name]._arcs_by_head is None, name
+            assert [wide_now for _, _, wide_now in calls] == [False], name
         for name in ("wild-lengths", "two-parts-and-isolated"):
             calls.clear()
             g[name].single_source(1)
             # the heap got wide, array rounds ran, and a seeded heap finished the row
-            assert calls[0][2] and g[name]._arcs_by_head is not None, name
+            assert calls[0][2], name
             assert calls[-1][1] == sys.maxsize and calls[-1][0] > 0, name
         # the star's heap is wide once its center is popped
         calls.clear()
         g["star"].single_source(0)
-        assert calls[0][2] and g["star"]._arcs_by_head is not None
+        assert calls[0][2]
 
     def test_a_small_cache_builds_each_row_once(self, monkeypatch):
         g = sssp_graphs()["wild-lengths"]
@@ -510,6 +544,18 @@ class TestGridGraph:
             with pytest.raises(mk.CarrierError, match="must be an integer"):
                 grid_vertex(*args)
         assert mk.grid_graph(3.0, np.int64(2)).vertex_count == 6 and grid_vertex(4.0, np.int64(1), 2.0) == 9
+
+    def test_a_point_outside_the_grid_is_refused(self):
+        # (3, 0) and (-1, 1) of a width-3 grid would alias the ids of (0, 1) and (2, 0)
+        for i, j in ((3, 0), (-1, 1), (0, -1), (7, 2)):
+            with pytest.raises(mk.CarrierError, match=rf"lattice point \({i}, {j}\) is outside a grid of width 3"):
+                grid_vertex(3, i, j)
+        with pytest.raises(mk.CarrierError, match="outside a grid of width 0"):
+            grid_vertex(0, 0, 0)
+        assert [grid_vertex(3, i, j) for j in range(2) for i in range(3)] == list(range(6))
+        # past the last row the id is past the grid, which its vertex check refuses
+        with pytest.raises(mk.CarrierError, match="vertex id"):
+            mk.shortest_path_distance(mk.grid_graph(3, 2), grid_vertex(3, 0, 2), 0)
 
     def test_four_by_four_corner(self):
         g = mk.grid_graph(4, 4)
@@ -575,6 +621,16 @@ class TestCountGeodesics:
             g = mk.grid_graph(w, h)
             for u, v in rng.integers(0, w * h, size=(8, 2)).tolist():
                 assert mk.count_geodesics(g, u, v) == per_vertex_geodesics(g, u, v)
+
+    def test_isolated_vertices_match_the_per_vertex_reference(self):
+        rng = np.random.default_rng(350)
+        for n in (20, 90):
+            g = sampling.random_connected_graph(rng, n, extra_edges=2 * n)
+            # spread the vertices over 2n ids, so that about half meet no edge
+            ids = rng.permutation(2 * n)[:n]
+            g = mk.WeightedGraph(2 * n, [(int(ids[u]), int(ids[v]), float(rng.integers(1, 4))) for u, v, _ in g.edges])
+            for u, v in rng.choice(ids, size=(40, 2)).tolist():
+                assert mk.count_geodesics(g, u, v) == per_vertex_geodesics(g, min(u, v), max(u, v))
 
     def test_counts_past_2_64(self):
         g = mk.grid_graph(60, 60)
