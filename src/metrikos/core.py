@@ -277,7 +277,11 @@ class Chebyshev(_Coordinates):
         return max(map(abs, map(operator.sub, xs, ys)))
 
     def _rows(self, diff):
-        return np.abs(diff).max(-1)
+        diff = np.abs(diff)
+        out = diff[..., 0].copy()
+        for k in range(1, diff.shape[-1]):  # a reduction over a short last axis is slow
+            np.maximum(out, diff[..., k], out=out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -290,7 +294,10 @@ class Discrete(_Coordinates):
     def _rows(self, diff):
         # finite x - y is 0 exactly when x == y (subnormals, no flush to zero);
         # an overflowed difference is inf, not 0
-        return np.where((diff == 0).all(-1), 0.0, 1.0)
+        same = diff[..., 0] == 0
+        for k in range(1, diff.shape[-1]):
+            same &= diff[..., k] == 0
+        return np.where(same, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

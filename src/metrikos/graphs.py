@@ -23,14 +23,17 @@ from .points import as_index, as_integer, as_points, hypot_rows
 # always the newest row; past it the oldest row goes first.
 SSSP_CACHE_FLOATS = 2**20
 
-# Rows built together hold at most this many floats (1 MiB) per array round.
+# Rows built together hold at most this many floats (1 MiB) per array round:
+# 4m + n per row, a candidate label and a length for each of the 2m arcs of
+# m edges, and a label for each of n vertices.
 SSSP_ROUND_FLOATS = 2**17
 
 # An array round takes about as long as popping ROUND_FIXED_POPS heap
-# entries, with the relaxations of their arcs, plus one entry per
-# ROUND_ARCS_PER_POP arcs and labels of each row (see WeightedGraph._sssp).
-ROUND_FIXED_POPS = 16
-ROUND_ARCS_PER_POP = 64
+# entries, with the relaxations of their arcs, shared by the rows in the
+# round, plus one entry per ROUND_ARCS_PER_POP arcs and labels of each row
+# (see WeightedGraph._sssp).
+ROUND_FIXED_POPS = 32
+ROUND_ARCS_PER_POP = 300
 
 
 class WeightedGraph:
@@ -43,8 +46,9 @@ class WeightedGraph:
     them, so no id is silently truncated. The checked edges are kept once,
     in input order, as an int64 (2, m) id array and a float64 (m,) length
     array; ``edges`` reads them back as (int, int, float) triples. One arc
-    layout is built from those arrays (see ``_set_edges``); both phases of
-    the shortest-path routine and geodesic counting read it. ``coords``
+    layout by degree levels is built from those arrays, with the arcs of
+    each vertex for the heap (see ``_set_edges``); the array rounds of the
+    shortest-path routine and geodesic counting read the layout. ``coords``
     optionally embeds each vertex (used by grids): one point per vertex, the
     rows of an (n, d) array. Shortest-path rows are memoized per source, up
     to ``SSSP_CACHE_FLOATS`` floats in all, oldest out first; the graph must
@@ -94,17 +98,16 @@ class WeightedGraph:
         as given, raise ``unread`` if one could not be read, and lay out
         their arcs once.
 
-        The layout holds both directions of every edge, stably sorted by
-        head, each head's arcs in edge order: ``_arcs_by_head`` keeps their
-        tails, their lengths, and where each head's run starts. A vertex
-        that no edge meets gets one arc from itself of infinite length,
-        which lowers no label and is never tight, so that every vertex heads
-        a nonempty run for ``np.minimum.reduceat``. ``_adj[u]`` is the run
-        of u without that arc, as (tail, length) pairs. ``_heap_sizes`` is
-        (wide, grow) for ``_sssp``: popping ``wide`` heap entries takes
-        about as long as an array round over the 2m arcs and n labels of a
-        row, and one pop grows the heap by at most ``grow`` entries, one per
-        arc of a longest run less the entry popped.
+        The layout is by degree levels. Positions order the vertices by
+        falling degree, stably: ``order[p]`` is the vertex at position p,
+        and ``place`` maps a vertex to its position. Level k holds the k-th
+        arc, in edge order, of every vertex of degree > k, so its heads are
+        the positions 0..width-1 in order. ``_layout`` is (order, place,
+        tails, lengths, levels): the tail positions and the lengths of the
+        arcs of level 0, then level 1, and so on, and (start, width) for
+        each level. A vertex that no edge meets is in no level. ``_adj[u]``
+        holds the arcs of u in edge order, as (tail, length) pairs for the
+        heap; they share one int per vertex and one float per edge.
         """
         fault = _first_edge_fault(n, ids, lengths, edge)
         if fault is not None:
@@ -117,17 +120,26 @@ class WeightedGraph:
                 raise ValueError("coords must list one point per vertex")
         self.vertex_count, self._ids, self._lengths, self.coords = n, ids, lengths, coords
         degree = np.bincount(ids.ravel(), minlength=n)
-        bare = np.flatnonzero(degree == 0)
-        runs = np.maximum(degree, 1)
-        order = np.argsort(np.concatenate([ids.T.ravel(), bare]), kind="stable")
-        tails = np.concatenate([ids[::-1].T.ravel(), bare])[order]
-        arc_lengths = np.concatenate([lengths.repeat(2), np.full(len(bare), math.inf)])[order]
-        starts = np.cumsum(runs) - runs
-        self._arcs_by_head = tails, arc_lengths, starts
-        arcs = list(zip(tails.tolist(), arc_lengths.tolist()))
+        starts = np.cumsum(degree) - degree
+        # both directions of every edge, stably sorted by head: each head's
+        # arcs in edge order
+        edge = np.argsort(ids.T.ravel(), kind="stable")
+        tails = ids[::-1].T.ravel()[edge]
+        edge //= 2
+        arcs = list(zip(np.arange(n, dtype=object)[tails].tolist(), lengths.astype(object)[edge].tolist()))
         self._adj = tuple(tuple(arcs[a : a + d]) for a, d in zip(starts.tolist(), degree.tolist()))
-        wide = ROUND_FIXED_POPS - (-(2 * len(lengths) + n) // ROUND_ARCS_PER_POP)
-        self._heap_sizes = wide, max(1, int(runs.max()) - 1)
+        del arcs  # its 8 bytes per arc go before the level arrays are built
+        order = np.argsort(-degree, kind="stable")
+        place = np.empty(n, dtype=np.int64)
+        place[order] = np.arange(n)
+        widths = n - np.cumsum(np.bincount(degree))[:-1]  # level k: the vertices of degree > k
+        level_starts = np.cumsum(widths) - widths
+        # an arc's level is its rank among its head's arcs
+        heads = np.repeat(np.arange(n), degree)
+        at = level_starts[np.arange(len(tails)) - starts[heads]] + place[heads]
+        level_tails, level_lengths = np.empty_like(tails), np.empty(len(tails))
+        level_tails[at], level_lengths[at] = place[tails], lengths[edge]
+        self._layout = order, place, level_tails, level_lengths, tuple(zip(level_starts.tolist(), widths.tolist()))
         self._sssp_cache: dict[int, np.ndarray] = {}
 
     @property
@@ -165,7 +177,7 @@ class WeightedGraph:
         they are given out, so a cache too small for them builds none twice.
         """
         built: dict[int, np.ndarray] = {}
-        step = max(1, SSSP_ROUND_FLOATS // (2 * len(self._lengths) + self.vertex_count))
+        step = max(1, SSSP_ROUND_FLOATS // (4 * len(self._lengths) + self.vertex_count))
         for k, s in enumerate(sources):
             row = built.get(s)
             if row is None:
@@ -199,33 +211,41 @@ class WeightedGraph:
     def _sssp(self, sources: list[int]) -> list[np.ndarray]:
         """The distance rows of distinct vertex ids, by one Dijkstra that
         pops a binary heap while a row's frontier is narrow and relaxes all
-        the row's labels at once, in array rounds, while it is wide.
+        the row's labels at once, in array rounds that the rows share, while
+        it is wide.
 
-        Each row starts in the heap phase. Once its heap holds ``wide``
-        entries, where popping them would take longer than one round, the
-        row joins the array rounds. A round relaxes every arc of every
-        joined row with one gather, one add and one ``np.minimum.reduceat``
-        over the arcs sorted by head. A row whose round improves fewer than
-        ``wide`` labels leaves the rounds and ends in the heap phase, seeded
-        with the vertices that round improved.
+        Each row starts in the heap phase, over ``_adj``. It joins the rounds
+        once its heap holds ``wide(R)`` entries, for the R rows that share
+        them: at first all the rows asked for, and then, while the heap of
+        a row that joined is narrower than ``wide`` of the rows that joined,
+        that row finishes in its heap. The rows in the rounds are the
+        columns of an (n, R) label array indexed by position (see
+        ``_set_edges``). A round gathers the label of every arc's tail, a
+        run of R floats at a time, adds the arc's length, and takes one
+        ``np.minimum`` per degree level: level k lowers the heads at
+        positions 0..width-1. A row whose round improves fewer than
+        ``wide(R)`` labels leaves the rounds and ends in the heap phase,
+        seeded with the vertices that round improved.
 
-        ``wide`` is ROUND_FIXED_POPS + (2m + n) / ROUND_ARCS_PER_POP for m
-        edges and n vertices. Pinned to one core of a shared x86-64 host
-        (Python 3.11, numpy 2.4), a pop with its relaxations took 0.7-1.5 us
-        on random graphs of 200-5,000 vertices and 2n edges, and a one-row
-        round about 15 us plus 11 ns per arc and label: about 16 pops, plus
-        one per 30-130 arcs and labels. Without the 16, graphs of a few
-        hundred cells switched at a heap of one or two entries and ran 1.6-6x
-        slower than the heap alone. 64 was as fast as any constant from 32 to
-        128 on 512- and 600-vertex graphs, and it keeps every grid in the
-        heap: a grid's heap never holds more than about 2 sqrt(n) entries.
+        ``wide(R)`` is ceil(F / R) + ceil((2m + n) / A) for m edges and n
+        vertices, F = ROUND_FIXED_POPS and A = ROUND_ARCS_PER_POP: the rows
+        share a round's fixed cost, and each pays for its own arcs and
+        labels. Pinned to one core of a shared x86-64 host (Python 3.11,
+        numpy 2.4), a pop with its relaxations took 0.5-0.9 us, and a round
+        about 25 us plus 1.0-2.0 ns per arc and label of each row, on random
+        graphs of 512-5,000 vertices and 2n edges and on grids: F is 31-42
+        pops. The fitted A was 340-570 pops, but 300 ran as fast as 450 on
+        those graphs, 200 lost on a 40 x 40 grid, and 600 lost on a path
+        and on single rows. With F = 16, a lone row on a 40-vertex
+        component joined the rounds and took twice as long as in the heap.
 
         Exact, bit for bit, whatever the mix of phases. Every label is fl(a +
         w) for the label a of a neighbor, so it is the left-to-right rounded
         sum of the lengths of some path. Rounding is monotone, so the least
         such sum to a vertex extends best: the least sums are the one set of
         labels that every path sum bounds and that no arc can lower. Both
-        phases lower labels only to path sums, and a row leaves both only
+        phases lower labels only to path sums, and a minimum is exact in any
+        order, since no label is NaN or -0.0. A row leaves both phases only
         when no arc can lower a label: the heap when it is empty, the rounds
         through a round that improved nothing or through the final heap.
         After a round, only the arcs out of the vertices it improved can
@@ -235,40 +255,68 @@ class WeightedGraph:
         that a later push made stale.
         """
         adj, n = self._adj, self.vertex_count
-        wide, grow = self._heap_sizes
+        order, place, tails, lengths, levels = self._layout
+        per_row = -(-(len(tails) + n) // ROUND_ARCS_PER_POP)
+        grow = max(1, len(levels) - 1)  # a pop pushes one entry per arc of its vertex
+
+        def wide(shared: int) -> int:
+            return -(-ROUND_FIXED_POPS // shared) + per_row
+
         rows: list = [None] * len(sources)
-        joined, wide_rows = [], []
+        joined = []
         for k, s in enumerate(sources):
             dist = [math.inf] * n
             dist[s] = 0.0
-            if _settle(adj, dist, [(0.0, s)], wide, grow):
-                joined.append(k)
-                wide_rows.append(dist)
+            heap = [(0.0, s)]
+            if _settle(adj, dist, heap, wide(len(sources)), grow):
+                joined.append((k, dist, heap))
             else:
                 rows[k] = np.array(dist)
+        # fewer rows than asked for share the rounds
+        while joined and min(len(heap) for _, _, heap in joined) < wide(len(joined)):
+            fit = wide(len(joined))
+            for k, dist, heap in joined:
+                if len(heap) < fit:
+                    _settle(adj, dist, heap, sys.maxsize, grow)  # empties the heap
+                    rows[k] = np.array(dist)
+            joined = [j for j in joined if j[2]]
         if not joined:
             return rows
-        tails, lengths, starts = self._arcs_by_head
-        labels = np.array(wide_rows)
-        while joined:
-            cand = labels[:, tails]
-            with np.errstate(over="ignore"):  # a sum past the float range is refused by _keep
-                cand += lengths
-            best = np.minimum.reduceat(cand, starts, axis=1)
-            better = best < labels
-            np.minimum(labels, best, out=labels)
-            narrow = np.count_nonzero(better, axis=1) < wide
-            if not narrow.any():
-                continue
-            for i in np.flatnonzero(narrow).tolist():
-                dist = labels[i].tolist()
-                seeds = np.flatnonzero(better[i])
-                heap = list(zip(labels[i, seeds].tolist(), seeds.tolist()))
-                heapq.heapify(heap)
-                _settle(adj, dist, heap, sys.maxsize, grow)
-                rows[joined[i]] = np.array(dist)
-            labels = labels[~narrow]
-            joined = [k for k, left in zip(joined, narrow.tolist()) if not left]
+        # labels[p, r] is the label in row r of the vertex at position p;
+        # positions 0..heads-1 head the arcs
+        labels = np.array([dist for _, dist, _ in joined]).T[order]
+        joined = [k for k, _, _ in joined]
+        heads = levels[0][1]
+        # each arc's candidate label and its length once per row, for as many
+        # rows as are left
+        cand_floats, spread_floats = np.empty((2, len(tails) * len(joined)))
+        with np.errstate(over="ignore"):  # a sum past the float range is refused by _keep
+            while joined:
+                cand = cand_floats[: len(tails) * len(joined)].reshape(len(tails), len(joined))
+                spread = spread_floats[: cand.size].reshape(cand.shape)
+                spread[:] = lengths[:, None]
+                # each level's arcs beside the heads they lower
+                best = cand[:heads]
+                folds = [(best[:width], cand[lo : lo + width]) for lo, width in levels[1:]]
+                while True:
+                    labels.take(tails, axis=0, out=cand, mode="clip")  # "clip" writes out unbuffered
+                    cand += spread
+                    for acc, level in folds:
+                        np.minimum(acc, level, out=acc)
+                    better = best < labels[:heads]
+                    np.minimum(labels[:heads], best, out=labels[:heads])
+                    narrow = np.count_nonzero(better, axis=0) < wide(len(joined))
+                    if narrow.any():
+                        break
+                for i in np.flatnonzero(narrow).tolist():
+                    dist = labels[place, i].tolist()
+                    seeds = np.flatnonzero(better[:, i])
+                    heap = list(zip(labels[seeds, i].tolist(), order[seeds].tolist()))
+                    heapq.heapify(heap)
+                    _settle(adj, dist, heap, sys.maxsize, grow)
+                    rows[joined[i]] = np.array(dist)
+                labels = labels[:, ~narrow].copy()  # C order, so a gather copies whole rows
+                joined = [k for k, gone in zip(joined, narrow.tolist()) if not gone]
         return rows
 
     def distance(self, u: int, v: int) -> float:
@@ -426,16 +474,27 @@ def count_geodesics(g: WeightedGraph, u, v) -> int:
     row = g.single_source(s)
     if math.isinf(row[t]):
         raise no_path_error(u, v)
-    tails, arc_lengths, starts = g._arcs_by_head
-    heads = np.repeat(np.arange(g.vertex_count), np.diff(starts, append=len(tails)))
-    tight = (row[tails] + arc_lengths == row[heads]) & (row[heads] <= row[t])
-    tails, heads = tails[tight], heads[tight]
-    order = np.argsort(row[tails], kind="stable")
+    if s == t:
+        return 1  # the path of no edges
+    order, place, tails, lengths, levels = g._layout
+    d, far = row[order], row[t]  # d[p]: the distance of the vertex at position p
+    tight_tails, tight_heads = [], []
+    for lo, width in levels:
+        # the level's arcs, into the heads at positions 0..width-1
+        arc_tails = tails[lo : lo + width]
+        tight = np.flatnonzero((d[arc_tails] + lengths[lo : lo + width] == d[:width]) & (d[:width] <= far))
+        tight_tails.append(arc_tails[tight])
+        tight_heads.append(tight)
+    tails, heads = np.concatenate(tight_tails), np.concatenate(tight_heads)
+    by_distance = np.argsort(d[tails], kind="stable")
     sigma = [0] * g.vertex_count
-    sigma[s] = 1
-    for a, b in zip(tails[order].tolist(), heads[order].tolist()):
-        sigma[b] += sigma[a]
-    return sigma[t]
+    sigma[place[s]] = 1
+    # the tight arcs become Python ints 2**16 at a time
+    for lo in range(0, len(by_distance), 2**16):
+        chunk = by_distance[lo : lo + 2**16]
+        for a, b in zip(tails[chunk].tolist(), heads[chunk].tolist()):
+            sigma[b] += sigma[a]
+    return sigma[place[t]]
 
 
 class Polyline:

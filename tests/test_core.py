@@ -217,6 +217,21 @@ class TestBatchKernel:
             short = spec._cross(spec.validate_many([sample[k] for k in rows]), spec.validate_many(sample))
             assert np.array_equal(short.view(np.int64), want[rows].view(np.int64)), spec.name
 
+    def test_chebyshev_and_discrete_rows_are_the_axis_reductions(self, rng):
+        # differences that are -0.0, subnormal, overflowed to +-inf or plain, and
+        # differences of points near the float range, as the kernel makes them
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1060, 1e-300, -1.5, 3.0, math.inf, -math.inf]
+        for dim in (1, 2, 3, 5):
+            X, Y = rng.choice([1e308, -1e308, 0.0, -0.0, 5e-324, -1.0], size=(2, 11, dim))
+            with np.errstate(over="ignore"):
+                overflowed = X[:, None, :] - Y[None, :, :]
+            for diff in (rng.choice(values, size=(9, 13, dim)), overflowed):
+                before = diff.copy()
+                cheb, disc = mk.Chebyshev()._rows(diff), mk.Discrete()._rows(diff)
+                assert np.array_equal(cheb.view(np.int64), np.abs(diff).max(-1).view(np.int64)), dim
+                assert np.array_equal(disc.view(np.int64), np.where((diff == 0).all(-1), 0.0, 1.0).view(np.int64)), dim
+                assert np.array_equal(diff.view(np.int64), before.view(np.int64))
+
     def test_every_builtin_spec_has_a_batch_kernel(self, rng):
         for spec, _ in builtin_cases(rng):
             assert type(spec)._cross is not mk.MetricSpec._cross, spec.name

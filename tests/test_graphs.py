@@ -442,17 +442,21 @@ class TestSingleSourceRoutine:
             g = sampling.random_connected_graph(rng, n, extra_edges=extra)
             from_triples = mk.WeightedGraph(n, [(u, v, w) for u, v, w in g.edges])
             assert (g.edges, g._adj) == (from_triples.edges, from_triples._adj)
-            assert all(np.array_equal(a, b) for a, b in zip(g._arcs_by_head, from_triples._arcs_by_head))
+            *arrays, levels = g._layout
+            *want, want_levels = from_triples._layout
+            assert all(np.array_equal(a, b) for a, b in zip(arrays, want)) and levels == want_levels
             for s in range(n):
                 assert np.array_equal(g.single_source(s).view(np.int64), from_triples.single_source(s).view(np.int64))
 
-    def test_a_bare_vertex_has_only_its_padding_arc(self):
-        # vertices 2, 5 and 6 meet no edge; 6 is the last, so its run ends the layout
+    def test_a_bare_vertex_is_in_no_level(self):
+        # vertices 2, 5 and 6 meet no edge, so they take the last positions and head no arc
         g = mk.WeightedGraph(7, [(0, 1, 2.0), (3, 1, 1.0), (4, 3, 1.0), (0, 4, 3.0)])
-        tails, lengths, starts = g._arcs_by_head
-        assert starts.tolist() == [0, 2, 4, 5, 7, 9, 10]
-        assert tails.tolist() == [1, 4, 0, 3, 2, 1, 4, 3, 0, 5, 6]
-        assert lengths.tolist() == [2.0, 3.0, 2.0, 1.0, math.inf, 1.0, 1.0, 1.0, 3.0, math.inf, math.inf]
+        order, place, tails, lengths, levels = g._layout
+        assert order.tolist() == [0, 1, 3, 4, 2, 5, 6] and place.tolist() == [0, 1, 4, 2, 3, 5, 6]
+        # level k holds the k-th arc of each of the vertices at positions 0..3, as tail positions
+        assert levels == ((0, 4), (4, 4))
+        assert tails.tolist() == [1, 0, 1, 2, 3, 2, 3, 0]
+        assert lengths.tolist() == [2.0, 2.0, 1.0, 1.0, 3.0, 1.0, 1.0, 3.0]
         assert g._adj[2] == g._adj[5] == g._adj[6] == () and g._adj[3] == ((1, 1.0), (4, 1.0))
         assert g._adj == per_edge_graph(7, g.edges)[1]
         for s in range(7):
@@ -481,9 +485,13 @@ class TestSingleSourceRoutine:
             calls.clear()
             g[name].single_source(source)
             assert [wide_now for _, _, wide_now in calls] == [False], name
-        for name in ("wild-lengths", "two-parts-and-isolated"):
+        # a lone row on a 40-vertex part stays in the heap; two rows share the rounds
+        calls.clear()
+        g["two-parts-and-isolated"].single_source(3)
+        assert [wide_now for _, _, wide_now in calls] == [False]
+        for name, sources in (("wild-lengths", [1]), ("two-parts-and-isolated", [1, 41])):
             calls.clear()
-            g[name].single_source(1)
+            list(g[name].source_rows(sources))
             # the heap got wide, array rounds ran, and a seeded heap finished the row
             assert calls[0][2], name
             assert calls[-1][1] == sys.maxsize and calls[-1][0] > 0, name
@@ -492,11 +500,56 @@ class TestSingleSourceRoutine:
         g["star"].single_source(0)
         assert calls[0][2]
 
+    @pytest.mark.parametrize("per_round", [2, 7, None])
+    def test_rows_built_r_at_a_time_are_the_heap_rows(self, monkeypatch, per_round):
+        left = []  # for each build, the rows that left the array rounds for a seeded heap
+        sssp, heapify = graphs.WeightedGraph._sssp, heapq.heapify
+
+        def counting_sssp(self, sources):
+            left.append(0)
+            return sssp(self, sources)
+
+        def counting_heapify(heap):
+            left[-1] += 1
+            heapify(heap)
+
+        monkeypatch.setattr(graphs.WeightedGraph, "_sssp", counting_sssp)
+        monkeypatch.setattr(graphs.heapq, "heapify", counting_heapify)
+        for name, g in sssp_graphs().items():
+            n = g.vertex_count
+            r = per_round or n
+            monkeypatch.setattr(graphs, "SSSP_ROUND_FLOATS", r * (4 * len(g.edges) + n))
+            left.clear()
+            sources = list(range(n))
+            for s, row in zip(sources, g.source_rows(sources)):
+                assert np.array_equal(row.view(np.int64), heap_row(g, s).view(np.int64)), (name, r, s)
+            # r rows per build, and fewer in the last one where r does not divide n
+            assert len(left) == -(-n // r), (name, r)
+            if name != "path":  # a path's heap never gets wide
+                assert max(left) >= 2, (name, r)
+
+    def test_a_path_never_joins_the_rounds(self, monkeypatch):
+        calls = []
+
+        def spy(adj, dist, heap, wide, grow):
+            wide_now = settle(adj, dist, heap, wide, grow)
+            calls.append(wide_now)
+            return wide_now
+
+        settle = graphs._settle
+        monkeypatch.setattr(graphs, "_settle", spy)
+        g = sssp_graphs()["path"]
+        sources = list(range(0, 300, 4))[:64]
+        rows = list(g.source_rows(sources))
+        # one heap per row, never wide: the 64 rows never share a round
+        assert calls == [False] * 64
+        assert all(np.array_equal(row.view(np.int64), heap_row(g, s).view(np.int64)) for s, row in zip(sources, rows))
+
     def test_a_small_cache_builds_each_row_once(self, monkeypatch):
         g = sssp_graphs()["wild-lengths"]
         want = [heap_row(g, s) for s in range(g.vertex_count)]
         monkeypatch.setattr(graphs, "SSSP_CACHE_FLOATS", 3 * g.vertex_count)
-        monkeypatch.setattr(graphs, "SSSP_ROUND_FLOATS", 10 * (2 * len(g.edges) + g.vertex_count))
+        monkeypatch.setattr(graphs, "SSSP_ROUND_FLOATS", 10 * (4 * len(g.edges) + g.vertex_count))
         built = []
         sssp = graphs.WeightedGraph._sssp
 
@@ -582,6 +635,13 @@ class TestCountGeodesics:
             for n in range(8):
                 got = mk.count_geodesics(g, origin, grid_vertex(8, m, n))
                 assert got == math.comb(m + n, m)
+
+    def test_more_tight_arcs_than_one_chunk(self):
+        # every one of the 71,620 edges is tight toward the far corner, past the 2**16 arcs of one chunk
+        g = mk.grid_graph(200, 180)
+        assert len(g.edges) > 2**16
+        assert mk.count_geodesics(g, 0, grid_vertex(200, 199, 179)) == math.comb(199 + 179, 199)
+        assert mk.count_geodesics(g, grid_vertex(200, 199, 179), grid_vertex(200, 3, 170)) == math.comb(196 + 9, 9)
 
     def test_unique_route_on_path(self):
         g = mk.WeightedGraph(4, [(0, 1, 2.0), (1, 2, 1.0), (2, 3, 3.0)])
