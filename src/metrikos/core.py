@@ -9,8 +9,8 @@ witnesses for every violated axiom.
 Every spec evaluates one pair with ``_eval`` and a whole table with
 ``_cross``; the built-in specs give ``_cross`` a batch kernel that equals the
 per-pair loop bit for bit and keeps its temporaries to one row block. A
-scalar distance reads each of its two points with ``_read``, which the
-coordinate specs answer with the point's floats, building no array.
+scalar distance is the spec's ``_distance``, which the coordinate specs
+answer from the two points' floats in one frame, building no array.
 """
 
 from __future__ import annotations
@@ -36,10 +36,8 @@ MAX_WITNESSES_PER_AXIOM = 100
 BLOCK_PAIRS = 4096
 
 # The triangle pass fills its slabs of d(x,y) + d(y,z) this many floats at a
-# time (512 KB), in whole rows of n floats and at least one row. Pinned, on
-# taxicab tables at n = 256 to 1024, 2**16 was as fast as 2**17 and faster
-# than 2**14; at n = 1024 one slab of all n - x rows took about 1.3 times as
-# long, since it leaves the cache.
+# time (512 KB), in whole rows of n floats and at least one row; README's
+# Performance section gives the timings that chose it.
 TRIANGLE_SLAB_FLOATS = 2**16
 
 
@@ -147,6 +145,11 @@ class MetricSpec:
         checks it; this default is ``validate_point`` itself."""
         return self.validate_point(x)
 
+    def _distance(self, x, y) -> float:
+        """``distance(self, x, y)``: ``_eval`` of the two points as ``_read``
+        gives them, as a Python float."""
+        return float(self._eval(self._read(x), self._read(y)))
+
     def _eval(self, x, y) -> float:
         """Distance between two already-validated carrier points."""
         raise NotImplementedError
@@ -177,11 +180,15 @@ class _Coordinates(MetricSpec):
 
     ``_read`` gives a point's coordinates as a list of Python floats, equal
     to ``validate_point(x).tolist()``, and ``_eval`` takes such lists or
-    ``validate_point``'s arrays, so a scalar distance builds no array.
+    ``validate_point``'s arrays. ``_distance`` reads both points with
+    ``_point_floats`` and makes ``_eval``'s checks and its ``_pair`` call in
+    its own frame, so a scalar distance builds no array and calls nothing
+    but the reader and the formula.
 
     A distance past the float range raises CarrierError naming the pair:
     an inf would pass every axiom compare (inf > inf is false). ``_eval``
-    checks its float, and ``_cross`` its whole table at once.
+    and ``_distance`` check their float, and ``_cross`` its whole table at
+    once.
     """
 
     dim = None
@@ -194,6 +201,15 @@ class _Coordinates(MetricSpec):
 
     def _read(self, x):
         return _point_floats(x, self.dim)
+
+    def _distance(self, x, y):
+        xs, ys = _point_floats(x, self.dim), _point_floats(y, self.dim)
+        if len(xs) != len(ys):
+            same_dim(xs, ys)
+        d = self._pair(xs, ys)
+        if not math.isfinite(d):
+            raise self._overflow(xs, ys)
+        return d
 
     def _eval(self, x, y):
         # Python floats overflow to inf without numpy's RuntimeWarning
@@ -253,6 +269,19 @@ class Euclidean(_Coordinates):
 
 @dataclass(frozen=True)
 class Taxicab(_Coordinates):
+    """Sum of absolute coordinate differences, added left to right.
+
+    Rounding bound: for k coordinates, |fl(d) - d| <= gamma_k * d with
+    gamma_k = k u / (1 - k u) and u = 2**-53. Each term |x_i - y_i| passes
+    through at most one rounded subtraction (abs is exact) and k - 1
+    rounded additions, so it carries a relative error of at most gamma_k;
+    every term is nonnegative, so the errors add up to at most gamma_k * d
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    SIAM 2002, ch. 3-4). A sum or difference below the normal range is
+    exact, so the bound needs no underflow term. At the CLI's 256
+    coordinates, gamma_k is about 2.8e-14.
+    """
+
     name = "taxicab"
 
     def _pair(self, xs, ys):
@@ -484,7 +513,7 @@ def restrict(spec: MetricSpec, allowed: Sequence) -> Subspace:
 
 def distance(spec: MetricSpec, x, y) -> float:
     """Distance between two carrier points under the selected metric."""
-    return float(spec._eval(spec._read(x), spec._read(y)))
+    return spec._distance(x, y)
 
 
 class Witness(NamedTuple):

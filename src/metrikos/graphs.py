@@ -191,11 +191,10 @@ class WeightedGraph:
     def _keep(self, source: int, row: np.ndarray) -> np.ndarray:
         """Cache the SSSP row of ``source``, oldest rows out first, after
         refusing one whose distances overflowed."""
-        unreached = np.isinf(row)
-        if unreached.any():
+        if math.isinf(row.max()):
             # an edge from a reached vertex always reaches its other end,
             # unless d + w rounded to inf: then the distance overflowed
-            ends = unreached[self._ids]
+            ends = np.isinf(row)[self._ids]
             over = ends[0] != ends[1]
             if over.any():
                 k = int(over.argmax())
@@ -225,19 +224,15 @@ class WeightedGraph:
         ``np.minimum`` per degree level: level k lowers the heads at
         positions 0..width-1. A row whose round improves fewer than
         ``wide(R)`` labels leaves the rounds and ends in the heap phase,
-        seeded with the vertices that round improved.
+        seeded with the vertices that round improved; that heap lowers the
+        row's own array in place, through a memoryview, whose items read and
+        write the same doubles as a list of Python floats.
 
         ``wide(R)`` is ceil(F / R) + ceil((2m + n) / A) for m edges and n
         vertices, F = ROUND_FIXED_POPS and A = ROUND_ARCS_PER_POP: the rows
         share a round's fixed cost, and each pays for its own arcs and
-        labels. Pinned to one core of a shared x86-64 host (Python 3.11,
-        numpy 2.4), a pop with its relaxations took 0.5-0.9 us, and a round
-        about 25 us plus 1.0-2.0 ns per arc and label of each row, on random
-        graphs of 512-5,000 vertices and 2n edges and on grids: F is 31-42
-        pops. The fitted A was 340-570 pops, but 300 ran as fast as 450 on
-        those graphs, 200 lost on a 40 x 40 grid, and 600 lost on a path
-        and on single rows. With F = 16, a lone row on a 40-vertex
-        component joined the rounds and took twice as long as in the heap.
+        labels. README's Performance section gives the timings that fix F
+        and A.
 
         Exact, bit for bit, whatever the mix of phases. Every label is fl(a +
         w) for the label a of a neighbor, so it is the left-to-right rounded
@@ -271,20 +266,20 @@ class WeightedGraph:
             if _settle(adj, dist, heap, wide(len(sources)), grow):
                 joined.append((k, dist, heap))
             else:
-                rows[k] = np.array(dist)
+                rows[k] = np.array(dist, dtype=float)
         # fewer rows than asked for share the rounds
         while joined and min(len(heap) for _, _, heap in joined) < wide(len(joined)):
             fit = wide(len(joined))
             for k, dist, heap in joined:
                 if len(heap) < fit:
                     _settle(adj, dist, heap, sys.maxsize, grow)  # empties the heap
-                    rows[k] = np.array(dist)
+                    rows[k] = np.array(dist, dtype=float)
             joined = [j for j in joined if j[2]]
         if not joined:
             return rows
         # labels[p, r] is the label in row r of the vertex at position p;
         # positions 0..heads-1 head the arcs
-        labels = np.array([dist for _, dist, _ in joined]).T[order]
+        labels = np.array([dist for _, dist, _ in joined], dtype=float).T[order]
         joined = [k for k, _, _ in joined]
         heads = levels[0][1]
         # each arc's candidate label and its length once per row, for as many
@@ -305,16 +300,16 @@ class WeightedGraph:
                         np.minimum(acc, level, out=acc)
                     better = best < labels[:heads]
                     np.minimum(labels[:heads], best, out=labels[:heads])
-                    narrow = np.count_nonzero(better, axis=0) < wide(len(joined))
+                    narrow = better.sum(axis=0) < wide(len(joined))
                     if narrow.any():
                         break
                 for i in np.flatnonzero(narrow).tolist():
-                    dist = labels[place, i].tolist()
+                    row = labels[place, i]
                     seeds = np.flatnonzero(better[:, i])
                     heap = list(zip(labels[seeds, i].tolist(), order[seeds].tolist()))
                     heapq.heapify(heap)
-                    _settle(adj, dist, heap, sys.maxsize, grow)
-                    rows[joined[i]] = np.array(dist)
+                    _settle(adj, memoryview(row), heap, sys.maxsize, grow)
+                    rows[joined[i]] = row
                 labels = labels[:, ~narrow].copy()  # C order, so a gather copies whole rows
                 joined = [k for k, gone in zip(joined, narrow.tolist()) if not gone]
         return rows
@@ -325,16 +320,20 @@ class WeightedGraph:
         it is bitwise symmetric in (u, v). UnreachableError when no path
         joins them."""
         source, target = (u, v) if u <= v else (v, u)
-        d = self.single_source(source).item(target)
+        row = self._sssp_cache.get(source)
+        if row is None:
+            row = self.single_source(source)
+        d = row.item(target)
         if math.isinf(d):
             raise no_path_error(u, v)
         return d
 
 
-def _settle(adj, dist: list, heap: list, wide: int, grow: int) -> bool:
+def _settle(adj, dist: list | memoryview, heap: list, wide: int, grow: int) -> bool:
     """Dijkstra's heap phase: pop the least (label, vertex) entry of
-    ``heap``, skip it if a later push made it stale, and lower ``dist`` over
-    its arcs in ``adj``, until the heap is empty (False) or holds at least
+    ``heap``, skip it if a later push made it stale, and lower ``dist`` (a
+    list of floats, or a memoryview of a float64 row) over its arcs in
+    ``adj``, until the heap is empty (False) or holds at least
     ``wide`` entries (True). A pop grows the heap by at most ``grow``
     entries, so the size is checked only as often as it could have reached
     ``wide``."""
@@ -407,7 +406,8 @@ def shortest_path_distance(g: WeightedGraph, u, v) -> float:
     (u, v). A disconnected pair raises UnreachableError: the vertex set is
     not a metric space when distances fail to be finite.
     """
-    return g.distance(g.check_vertex(u), g.check_vertex(v))
+    n = g.vertex_count
+    return g.distance(as_index(u, n, "vertex id"), as_index(v, n, "vertex id"))
 
 
 def grid_graph(width: int, height: int) -> WeightedGraph:

@@ -79,7 +79,8 @@ def _point_floats(p, dim: int | None = None) -> list:
         xs = [*p] if p and type(p[0]) is float and set(map(type, p)) == _FLOAT_TYPE else None
     else:
         xs = [p] if kind is float else None
-    if xs and (dim is None or len(xs) == dim) and all(map(math.isfinite, xs)):
+    # a float sum is finite only if every term is: one test for the common case
+    if xs and (dim is None or len(xs) == dim) and (math.isfinite(sum(xs)) or all(map(math.isfinite, xs))):
         return xs
     return as_point(p, dim).tolist()
 

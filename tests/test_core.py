@@ -475,10 +475,16 @@ class TestVerifyAxioms:
         assert (0, 1) in axioms and (1, 1) in axioms
         # one failed axiom and no other: distinct points closer than abs_tol,
         # and a table that is asymmetric only
-        for report in (mk.verify_axioms(mk.Euclidean(), [(0, 0), (1e-12, 0)]),
-                       mk.verify_axioms(mk.MatrixMetric(mk.DistanceMatrix([[0, 1], [1.5, 0]])), [0, 1])):
+        close = mk.verify_axioms(mk.Euclidean(), [(0, 0), (1e-12, 0), (2e-12, 0)])
+        for report in (close, mk.verify_axioms(mk.MatrixMetric(mk.DistanceMatrix([[0, 1], [1.5, 0]])), [0, 1])):
             assert {w.axiom for w in report.witnesses} in ({"identity"}, {"symmetry"}) and not report.all_ok
             assert_verdicts_read_witnesses(report)
+        # by design, every ordered pair of distinct points at most abs_tol
+        # apart is an identity witness, in lexicographic order
+        assert [(w.axiom, w.indices, w.lhs) for w in close.witnesses] == [
+            ("identity", (0, 1), 1e-12), ("identity", (0, 2), 2e-12), ("identity", (1, 0), 1e-12),
+            ("identity", (1, 2), 1e-12), ("identity", (2, 0), 2e-12), ("identity", (2, 1), 1e-12),
+        ]
 
     def test_duplicate_points_are_the_same_point(self):
         report = mk.verify_axioms(mk.Euclidean(), [(1, 1), (1, 1), (2, 0)])

@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from metrikos import CarrierError, Euclidean, RealLine, distance
+from metrikos.cli import MAX_DIM
 from metrikos.points import as_point
 from metrikos.plane import (
     chebyshev_distance,
@@ -170,3 +172,33 @@ def test_real_line_points_are_one_coordinate_points(x, form):
     p = form(x)
     got, want = RealLine().validate_point(p), as_point(p, 1)
     assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+class TestTaxicabRoundingBound:
+    """The bound of ``Taxicab``'s docstring, checked exactly: |fl(d) - d| <=
+    gamma_k * d for k coordinates, gamma_k = k u / (1 - k u), against the
+    Fraction sum of the exact differences."""
+
+    U = Fraction(1, 2**53)
+
+    def assert_within(self, xs, ys):
+        k = len(xs)
+        exact = sum((abs(Fraction(a) - Fraction(b)) for a, b in zip(xs, ys)), Fraction(0))
+        got = taxicab_distance(xs, ys)
+        assert abs(Fraction(got) - exact) <= k * self.U / (1 - k * self.U) * exact, (k, got)
+        assert taxicab_distances([xs], [ys])[0] == got  # the batch kernel's float
+
+    def test_random_rows_up_to_max_dim(self, rng):
+        for k in [1, 2, 3, 64, MAX_DIM - 1, MAX_DIM, *rng.integers(1, MAX_DIM + 1, size=30).tolist()]:
+            scale = 10.0 ** int(rng.integers(-8, 9))
+            xs, ys = rng.uniform(-scale, scale, size=(2, k))
+            self.assert_within(xs.tolist(), ys.tolist())
+
+    def test_rows_that_mix_magnitudes_near_1e150_and_1e_150(self, rng):
+        for k in [2, 3, 16, MAX_DIM] * 5:
+            magnitude = rng.choice([1e150, 1e-150], size=(2, k))
+            xs, ys = magnitude * rng.uniform(-1.0, 1.0, size=(2, k))
+            self.assert_within(xs.tolist(), ys.tolist())
+            # the same rows with their tiny terms added after the huge ones
+            order = np.argsort(-np.abs(xs - ys), kind="stable")
+            self.assert_within(xs[order].tolist(), ys[order].tolist())

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import metrikos as mk
 from metrikos import points
@@ -232,3 +232,42 @@ def test_the_scalar_reader_builds_no_array_for_floats(monkeypatch, p, dim):
     want = as_point(p, dim).tolist()
     monkeypatch.setattr(points, "as_point", refuse)
     assert [x.hex() for x in _point_floats(p, dim)] == [x.hex() for x in want]
+
+
+COORDINATE_SPECS = (mk.Euclidean(), mk.Taxicab(), mk.Chebyshev(), mk.Discrete(), mk.RealLine())
+
+
+def scalar_oracle(spec, p, q):
+    """``distance(spec, p, q)`` from ``as_point``'s floats and the spec's
+    formula: the dimension check, then ``_pair``, then the overflow check."""
+    xs, ys = as_point(p, spec.dim).tolist(), as_point(q, spec.dim).tolist()
+    if len(xs) != len(ys):
+        raise ValueError(f"dimension mismatch: {len(xs)} vs {len(ys)}")
+    d = spec._pair(xs, ys)
+    if not math.isfinite(d):
+        pair = " and ".join(f"({', '.join(map(str, v))})" for v in (xs, ys))
+        raise mk.CarrierError(f"the {spec.name} distance between {pair} overflows the float range")
+    return d
+
+
+def distance_outcome(fn):
+    """The float as a hex string, or the type and message of what ``fn`` raises."""
+    try:
+        d = fn()
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+    assert type(d) is float
+    return d.hex()
+
+
+@pytest.mark.parametrize("spec", COORDINATE_SPECS, ids=lambda spec: spec.name)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=any_point, q=any_point)
+@example(p=(1e308, 1e308), q=(-1e308, 0))  # the distance overflows
+@example(p=(1e308, 1e308), q=(1e308, 1e308))  # the coordinate sum overflows, the distance is 0.0
+@example(p=1e308, q=-1e308)
+@example(p=(0.5, 0.25), q=(0.5, 0.25, 1.0))  # different lengths
+@example(p=np.array([1.5, -2.0]), q=[0.5])
+def test_a_scalar_distance_is_the_formula_on_as_point_floats(spec, p, q):
+    want = distance_outcome(lambda: scalar_oracle(spec, p, q))
+    assert distance_outcome(lambda: mk.distance(spec, p, q)) == want
