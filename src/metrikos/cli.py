@@ -95,7 +95,7 @@ def _load_sample(spec: MetricSpec, args) -> list:
         source, sample = f"--matrix {args.matrix}", list(range(spec.matrix.n))
     elif args.points:
         source, sample = f"--points {args.points}", fileio.load_points(args.points)[1]
-    elif args.random:
+    elif args.random is not None:
         if not 0 < args.random <= MAX_RANDOM_POINTS:
             raise ValueError(f"--random takes 1 to {MAX_RANDOM_POINTS} points, got {args.random}")
         if not 0 < args.dim <= MAX_DIM:

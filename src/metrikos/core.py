@@ -15,6 +15,7 @@ answer from the two points' floats in one frame, building no array.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -175,8 +176,10 @@ class _Coordinates(MetricSpec):
     the real line is the case ``dim = 1``, so a real number is validated as
     a 1-coordinate point. Each metric has one formula in two forms:
     ``_pair(xs, ys)`` on the coordinate lists of two points, and
-    ``_rows(diff)``, which maps a (..., d) array of coordinate differences
-    x - y to the (...) distances.
+    ``_rows(planes)``, which maps a (d, ...) array of the differences x_k -
+    y_k to the (...) distances and may overwrite it. ``_cross`` subtracts
+    each row block's planes at once from Fortran-order copies of X and Y,
+    as contiguous operands subtract several times faster than strided ones.
 
     ``_read`` gives a point's coordinates as a list of Python floats, equal
     to ``validate_point(x).tolist()``, and ``_eval`` takes such lists or
@@ -226,8 +229,9 @@ class _Coordinates(MetricSpec):
         if not (len(X) and len(Y)):  # an empty side is no dimension mismatch
             return np.empty((len(X), len(Y)))
         same_dim(X[0], Y[0])
+        X, Y = np.asfortranarray(X), np.asfortranarray(Y)
         with np.errstate(over="ignore"):  # refused below
-            out = _by_row_blocks(X, Y, self._block)
+            out = _by_row_blocks(X, Y, lambda Xb, Y: self._rows(Xb.T[:, :, None] - Y.T[:, None, :]))
         return self._finite(out, X, Y)
 
     def _finite(self, out: np.ndarray, X, Y) -> np.ndarray:
@@ -246,13 +250,10 @@ class _Coordinates(MetricSpec):
 
         return CarrierError(f"the {self.name} distance between {text(xs)} and {text(ys)} overflows the float range")
 
-    def _block(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return self._rows(X[:, None, :] - Y[None, :, :])
-
     def _pair(self, xs: list, ys: list) -> float:
         raise NotImplementedError
 
-    def _rows(self, diff: np.ndarray) -> np.ndarray:
+    def _rows(self, planes: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -263,8 +264,8 @@ class Euclidean(_Coordinates):
     def _pair(self, xs, ys):
         return math.hypot(*map(operator.sub, xs, ys))
 
-    def _rows(self, diff):
-        return hypot_rows(diff)
+    def _rows(self, planes):
+        return hypot_rows(planes.reshape(len(planes), -1).T).reshape(planes.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -290,12 +291,8 @@ class Taxicab(_Coordinates):
             total += abs(a - b)
         return total
 
-    def _rows(self, diff):
-        diff = np.abs(diff)
-        out = diff[..., 0].copy()
-        for k in range(1, diff.shape[-1]):  # left to right, as _pair adds
-            out += diff[..., k]
-        return out
+    def _rows(self, planes):
+        return functools.reduce(np.add, np.abs(planes, out=planes))  # left to right, as _pair adds
 
 
 @dataclass(frozen=True)
@@ -305,12 +302,8 @@ class Chebyshev(_Coordinates):
     def _pair(self, xs, ys):
         return max(map(abs, map(operator.sub, xs, ys)))
 
-    def _rows(self, diff):
-        diff = np.abs(diff)
-        out = diff[..., 0].copy()
-        for k in range(1, diff.shape[-1]):  # a reduction over a short last axis is slow
-            np.maximum(out, diff[..., k], out=out)
-        return out
+    def _rows(self, planes):
+        return functools.reduce(np.maximum, np.abs(planes, out=planes))  # np.maximum.reduce is slower
 
 
 @dataclass(frozen=True)
@@ -320,13 +313,10 @@ class Discrete(_Coordinates):
     def _pair(self, xs, ys):
         return 0.0 if xs == ys else 1.0
 
-    def _rows(self, diff):
+    def _rows(self, planes):
         # finite x - y is 0 exactly when x == y (subnormals, no flush to zero);
         # an overflowed difference is inf, not 0
-        same = diff[..., 0] == 0
-        for k in range(1, diff.shape[-1]):
-            same &= diff[..., k] == 0
-        return np.where(same, 0.0, 1.0)
+        return (planes != 0).any(0).astype(float)
 
 
 @dataclass(frozen=True)
@@ -337,8 +327,8 @@ class RealLine(_Coordinates):
     def _pair(self, xs, ys):
         return abs(xs[0] - ys[0])
 
-    def _rows(self, diff):
-        return np.abs(diff[..., 0])
+    def _rows(self, planes):
+        return np.abs(planes[0])
 
 
 @dataclass(frozen=True)
@@ -600,38 +590,49 @@ def verify_axioms(spec: MetricSpec, sample: Sequence, tol: ToleranceConfig = DEF
     no slack exceeds. A MatrixMetric whose table is not scans all n^3 over
     a transposed copy of the table.
 
-    Memory: the table D and the identity pass's n x n boolean masks, about
-    1.5 n^2 floats at the peak on a symmetric table (tracemalloc: 1.56 n^2
-    at n = 512, 1.53 n^2 at n = 1024); the triangle pass then holds D, one
-    slab and its candidate rows (see ``_triangle_witnesses``). An
-    asymmetric table adds the pass's transposed copy and builds its
-    symmetry mask by row blocks: 2.31 n^2 at n = 512, where one slab is
-    n^2 / 4 floats, and 2.08 n^2 at n = 1024. The slacks read A = |D|,
-    which is D itself unless an entry is negative; such a table holds A
-    too, n^2 floats more.
+    Memory: D and no n x n mask (``_pair_witnesses`` sweeps by row blocks).
+    The triangle pass then holds D, one slab and its candidate rows (see
+    ``_triangle_witnesses``): on a symmetric table tracemalloc peaks at 1.30
+    n^2 floats at n = 512, where one slab is n^2 / 4 floats, and 1.14 n^2 at
+    n = 1024. An asymmetric table adds the pass's transposed copy and its
+    symmetry mask by row blocks: 2.29 n^2 at n = 512, 2.07 n^2 at n = 1024.
+    The slacks read A = |D|, which is D itself unless an entry is negative;
+    such a table holds A too, n^2 floats more.
     """
     pts = _canonical_sample(spec, sample)
     D = spec._cross(pts, pts)
-    witnesses: list[Witness] = []
-
-    def collect(axiom, mask):
-        for idx in np.argwhere(mask)[:MAX_WITNESSES_PER_AXIOM]:
-            ij = tuple(int(k) for k in idx)
-            witnesses.append(Witness(axiom, ij, float(D[ij]), 0.0))
-
-    collect("nonnegativity", D < 0)
-    # the slacks take magnitudes A = |D|; with no negative entry, so no
-    # witness yet, that is D, as a zero's sign leaves each slack as it is
-    A = np.abs(D) if witnesses else D
+    negative, identity = _pair_witnesses(D, point_keys(pts), tol)
+    # the slacks' A = |D| is D with no negative entry: a zero's sign leaves each slack as it is
+    A = np.abs(D) if negative else D
     symmetric = _bitwise_symmetric(D)
-    if not symmetric:
-        witnesses += _symmetry_witnesses(D, A, tol)
-    # one class id per distinct point, so sameness is one n x n compare
+    symmetry = [] if symmetric else _symmetry_witnesses(D, A, tol)
+    return AxiomReport(negative + symmetry + identity + _triangle_witnesses(D, A, tol, symmetric))
+
+
+def _pair_witnesses(D: np.ndarray, keys, tol: ToleranceConfig) -> tuple[list[Witness], list[Witness]]:
+    """The nonnegativity and identity witnesses of D, each the first
+    MAX_WITNESSES_PER_AXIOM in lexicographic order, by ``row_blocks`` with no
+    n x n mask. Points of one of ``keys`` are the same point; their cells are
+    the diagonal when all are distinct. Every negative entry is at most
+    abs_tol, so a block whose entries at most abs_tol are its same-point
+    cells, each in [0, abs_tol], holds no witness."""
     ids: dict = {}
-    cls = np.array([ids.setdefault(key, len(ids)) for key in point_keys(pts)])
-    collect("identity", np.where(cls[:, None] == cls[None, :], D > tol.abs_tol, D <= tol.abs_tol))
-    witnesses += _triangle_witnesses(D, A, tol, symmetric)
-    return AxiomReport(witnesses)
+    cls = np.array([ids.setdefault(key, len(ids)) for key in keys])
+    distinct = len(ids) == len(D)
+    negative, identity = [], []
+    for lo, hi in row_blocks(*D.shape):
+        block = D[lo:hi]
+        i, j = (np.arange(hi - lo), np.arange(lo, hi)) if distinct else np.nonzero(cls[lo:hi, None] == cls)
+        close, same = block <= tol.abs_tol, block[i, j]
+        if np.count_nonzero(close) == len(i) and 0 <= same.min() and same.max() <= tol.abs_tol:
+            continue
+        close[i, j] = same > tol.abs_tol
+        for found, axiom, hits in ((negative, "nonnegativity", block < 0), (identity, "identity", close)):
+            cells = np.argwhere(hits)[: MAX_WITNESSES_PER_AXIOM - len(found)].tolist()
+            found += [Witness(axiom, (lo + r, c), float(block[r, c]), 0.0) for r, c in cells]
+        if len(negative) == len(identity) == MAX_WITNESSES_PER_AXIOM:
+            break
+    return negative, identity
 
 
 def _bitwise_symmetric(D: np.ndarray) -> bool:

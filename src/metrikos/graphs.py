@@ -489,11 +489,9 @@ def count_geodesics(g: WeightedGraph, u, v) -> int:
     by_distance = np.argsort(d[tails], kind="stable")
     sigma = [0] * g.vertex_count
     sigma[place[s]] = 1
-    # the tight arcs become Python ints 2**16 at a time
-    for lo in range(0, len(by_distance), 2**16):
-        chunk = by_distance[lo : lo + 2**16]
-        for a, b in zip(tails[chunk].tolist(), heads[chunk].tolist()):
-            sigma[b] += sigma[a]
+    # memoryviews yield the tight arcs' ends as Python ints, with no list built
+    for a, b in zip(memoryview(tails[by_distance]), memoryview(heads[by_distance])):
+        sigma[b] += sigma[a]
     return sigma[place[t]]
 
 

@@ -3,8 +3,8 @@
 Every function here is a view of a ``MetricSpec`` in ``core``, which holds
 the one formula of each metric. The scalar functions are ``distance`` under
 that spec; the rowwise functions validate their two (n, dim) arrays with
-``as_points`` and apply the spec's row kernel to the coordinate differences,
-so row k equals the scalar function of row k bit for bit, or raises its error.
+``as_points`` and apply the spec's row kernel to the planes (P - Q).T, so
+row k equals the scalar function of row k bit for bit, or raises its error.
 
 The two-coordinate formulas generalize coordinatewise to any dimension; the
 real line is the one-dimensional case.
@@ -60,14 +60,14 @@ def discrete_distance(p, q) -> float:
 
 
 def _rowwise(spec, P, Q) -> np.ndarray:
-    """``spec``'s row kernel over the differences P - Q of two matching (n,
-    dim) arrays of points, each row validated as the scalar functions
-    validate a point; a row whose distance overflows raises the scalar's
-    CarrierError."""
+    """``spec``'s row kernel over the difference planes (P - Q).T of two
+    matching (n, dim) arrays of points, each row validated as the scalar
+    functions validate a point; a row whose distance overflows raises the
+    scalar's CarrierError."""
     same_shape_rows(P, Q)
     P, Q = as_points(P), as_points(Q)
     with np.errstate(over="ignore"):  # refused by _finite
-        out = spec._rows(P - Q)
+        out = spec._rows((P - Q).T)
     return spec._finite(out, P, Q)
 
 

@@ -170,14 +170,14 @@ def finite_radius(r) -> float:
 
 
 def hypot_rows(V: np.ndarray) -> np.ndarray:
-    """``math.hypot`` of each row of a (..., d) array, bit for bit.
+    """``math.hypot`` of each row of an (n, d) float64 array, bit for bit.
 
     This is the norm of every scalar formula; ``np.hypot`` and
     ``np.linalg.norm`` round differently in the last bit, and the latter
-    overflows to inf once a coordinate passes about 1e154.
+    overflows to inf once a coordinate passes about 1e154. Memoryviews of
+    the columns yield the floats of ``tolist`` with no list built.
     """
-    flat = V.reshape(-1, V.shape[-1])
-    return np.fromiter(map(math.hypot, *flat.T.tolist()), float, len(flat)).reshape(V.shape[:-1])
+    return np.fromiter(map(math.hypot, *map(memoryview, V.T)), float, len(V))
 
 
 def same_dim(p, q) -> None:

@@ -127,14 +127,15 @@ def arc_lengths(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
     numpy forms the cross and dot products in the scalar formula's order;
     ``math.hypot`` and ``math.atan2`` finish each pair, since ``np.arctan2``
-    and numpy's norms round differently in the last bit.
+    and numpy's norms round differently in the last bit. The maps read the
+    products through memoryviews, with no list built.
     """
-    a, b, c = np.moveaxis(P, -1, 0)
-    d, e, f = np.moveaxis(Q, -1, 0)
+    a, b, c = P[..., 0], P[..., 1], P[..., 2]
+    d, e, f = Q[..., 0], Q[..., 1], Q[..., 2]
     dot = a * d + b * e + c * f
     cross = (b * f - c * e, c * d - a * f, a * e - b * d)
-    sin = map(math.hypot, *(t.ravel().tolist() for t in cross))
-    return np.fromiter(map(math.atan2, sin, dot.ravel().tolist()), float, dot.size).reshape(dot.shape)
+    sin = map(math.hypot, *(memoryview(t.ravel()) for t in cross))
+    return np.fromiter(map(math.atan2, sin, memoryview(dot.ravel())), float, dot.size).reshape(dot.shape)
 
 
 def great_circle_distance(p, q) -> float:

@@ -236,7 +236,7 @@ class TestCheck:
             raise AssertionError("sampled out of range")
 
         monkeypatch.setattr(sampling, "sample_for", refuse)
-        for n in (cli.MAX_RANDOM_POINTS + 1, 10**12, -5):
+        for n in (cli.MAX_RANDOM_POINTS + 1, 10**12, -5, 0):
             assert cli.main(["check", "--metric", "euclidean", "--random", str(n)]) == 2
             assert f"1 to {cli.MAX_RANDOM_POINTS} points, got {n}" in capsys.readouterr().err
         assert f"N <= {cli.MAX_RANDOM_POINTS}" in run_cli("check", "--help").stdout.decode()

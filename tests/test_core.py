@@ -226,8 +226,9 @@ class TestBatchKernel:
             with np.errstate(over="ignore"):
                 overflowed = X[:, None, :] - Y[None, :, :]
             for diff in (rng.choice(values, size=(9, 13, dim)), overflowed):
-                before = diff.copy()
-                cheb, disc = mk.Chebyshev()._rows(diff), mk.Discrete()._rows(diff)
+                before, planes = diff.copy(), np.moveaxis(diff, -1, 0)
+                # Chebyshev's _rows takes |x - y| in place, so it gets a copy
+                cheb, disc = mk.Chebyshev()._rows(planes.copy()), mk.Discrete()._rows(planes)
                 assert np.array_equal(cheb.view(np.int64), np.abs(diff).max(-1).view(np.int64)), dim
                 assert np.array_equal(disc.view(np.int64), np.where((diff == 0).all(-1), 0.0, 1.0).view(np.int64)), dim
                 assert np.array_equal(diff.view(np.int64), before.view(np.int64))
@@ -252,16 +253,86 @@ class TestBatchKernel:
 
     def test_memory_is_bounded_per_row_block(self, rng):
         # the 384 x 384 table is 1.125 MB; a kernel that takes all pairs at
-        # once builds a 384 x 384 x 3 difference table (3.4 MB) beside it
-        sample = list(sampling.random_points(rng, 384, dim=3))
-        tracemalloc.start()
-        try:
-            D = mk.pairwise_distances(mk.Taxicab(), sample)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert D.shape == (384, 384)
-        assert peak < 2 * 2**20, f"pairwise_distances peaked at {peak / 2**20:.2f} MB"
+        # once builds a 384 x 384 x 3 difference table (3.4 MB) beside it,
+        # and the great-circle kernel a dozen 384 x 384 products
+        for spec in (mk.Taxicab(), mk.Euclidean(), mk.GreatCircle()):
+            sample = sampling.sample_for(spec, rng, 384, dim=3)
+            tracemalloc.start()
+            try:
+                D = mk.pairwise_distances(spec, sample)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert D.shape == (384, 384)
+            assert peak < 2 * 2**20, f"{spec.name}: pairwise_distances peaked at {peak / 2**20:.2f} MB"
+
+
+# coordinates that test the kernels' signs, subnormals and range; the big
+# ones overflow a difference, and plain batches take only the first six
+KERNEL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1060, 1.0, -2.5, 1e-300, -1e300, 1e300, 1.7e308, -1.7e308)
+ROWWISE = {"euclidean": mk.euclidean_distances, "taxicab": mk.taxicab_distances,
+           "chebyshev": mk.chebyshev_distances, "greatcircle": mk.great_circle_distances}
+
+
+@st.composite
+def kernel_batches(draw):
+    """(spec, X, Y): two validated batches of one coordinate spec or of the
+    sphere, in C order, Fortran order or strided by rows or by columns, with
+    len(X) on either side of a row-block boundary for len(Y) columns, or
+    both small."""
+    spec = draw(st.sampled_from(COORDINATE_SPECS + (mk.GreatCircle(),)))
+    dim = {"realline": 1, "greatcircle": 3}.get(spec.name) or draw(st.sampled_from([1, 2, 3, 5, 256]))
+    if draw(st.booleans()):
+        cols = draw(st.sampled_from([1, 64, 100]))
+        rows = BLOCK_PAIRS // cols + draw(st.integers(-1, 1))
+    else:
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # plain coordinates are of one magnitude, so their sums round by their order
+    wide = spec.name != "greatcircle" and draw(st.booleans())
+    pool = np.array(KERNEL_VALUES[: draw(st.sampled_from([9, 12])) if wide else 6])
+
+    def batch(n):
+        P = rng.uniform(-1.0, 1.0, size=(n, dim))
+        if wide:
+            P *= 10.0 ** rng.uniform(-300, 300, size=(n, dim))
+        P = np.where(rng.random((n, dim)) < 0.2, rng.choice(pool, size=(n, dim)), P)
+        P[rng.random(n) < 0.2] = P[0]  # repeated points
+        if spec.name == "greatcircle":
+            P[:, 0] += 1.0  # no zero vector
+            P = P / np.linalg.norm(P, axis=1)[:, None]
+        return spec.validate_many(list(P))
+
+    layout = draw(st.sampled_from(["C", "F", "rows", "cols"]))
+    arrange = {"C": lambda P: P, "F": np.asfortranarray, "rows": lambda P: np.repeat(P, 2, axis=0)[::2],
+               "cols": lambda P: np.repeat(P, 2, axis=1)[:, ::2]}[layout]
+    return spec, arrange(batch(rows)), arrange(batch(cols))
+
+
+class TestPlaneKernels:
+    """The coordinate and sphere kernels against the per-pair loop of
+    ``_eval``, bit for bit, overflow errors included."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(case=kernel_batches())
+    def test_cross_and_rowwise_are_the_scalar_formula(self, case):
+        def assert_same(got, want):  # the same bits, or the same CarrierError
+            if isinstance(want, tuple):
+                assert want[0] is mk.CarrierError and got == want
+            else:
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+        spec, X, Y = case
+        assert_same(outcome(lambda: spec._cross(X, Y)), outcome(lambda: mk.MetricSpec._cross(spec, X, Y)))
+        rowwise = ROWWISE.get(spec.name)
+        if rowwise is not None:
+            k = min(len(X), len(Y))
+            P, Q = X[:k], Y[:k]
+
+            def per_row():
+                return np.array([spec._eval(spec.validate_point(p), spec.validate_point(q)) for p, q in zip(P, Q)])
+
+            assert_same(outcome(lambda: rowwise(P, Q)), outcome(per_row))
 
 
 COORDINATE_SPECS = (mk.Euclidean(), mk.Taxicab(), mk.Chebyshev(), mk.Discrete(), mk.RealLine())
@@ -563,16 +634,17 @@ class TestVerifyAxioms:
                 assert report.symmetry_ok == symmetric_at_default_tol
 
     def test_memory_is_bounded_in_table_floats(self, rng):
-        # D and |D| are 2 n^2 floats; the identity masks add about n^2 / 2
-        # (bools), and the triangle pass one slab and its candidate rows. An
-        # asymmetric table adds its symmetry mask's temporaries and its
-        # transposed copy.
+        # D is n^2 floats, and with no negative entry |D| is D; the
+        # nonnegativity and identity sweep builds no n x n mask, and the
+        # triangle pass adds one slab (n^2 / 4 floats here) and its
+        # candidate rows. An asymmetric table adds its symmetry mask's
+        # temporaries and its transposed copy.
         n = 512
         sample = list(sampling.random_points(rng, n, dim=3))
         asymmetric = mk.pairwise_distances(mk.Taxicab(), sample)
         asymmetric[0, 1] += 0.5
         matrix = mk.MatrixMetric(mk.DistanceMatrix(asymmetric))
-        for spec, points, bound in ((mk.Taxicab(), sample, 3.0), (matrix, list(range(n)), 4.13)):
+        for spec, points, bound in ((mk.Taxicab(), sample, 1.5), (matrix, list(range(n)), 4.13)):
             tracemalloc.start()
             try:
                 report = mk.verify_axioms(spec, points)
@@ -718,6 +790,60 @@ class TestSymmetryPass:
                 tracemalloc.stop()
             assert report.symmetry_ok == (spec is not matrix)
             assert peak < bound * 8 * n * n, f"{spec.name}: {peak / (8 * n * n):.2f} n^2 floats"
+
+
+def masked_pair_witnesses(D, keys, tol) -> tuple:
+    """The nonnegativity and identity witnesses from n x n masks, as
+    ``verify_axioms`` found them before its row-block sweep."""
+    ids: dict = {}
+    cls = np.array([ids.setdefault(key, len(ids)) for key in keys])
+    masks = (("nonnegativity", D < 0),
+             ("identity", np.where(cls[:, None] == cls[None, :], D > tol.abs_tol, D <= tol.abs_tol)))
+    return tuple([mk.Witness(axiom, tuple(int(k) for k in idx), float(D[tuple(idx)]), 0.0)
+                  for idx in np.argwhere(mask)[:MAX_WITNESSES_PER_AXIOM]] for axiom, mask in masks)
+
+
+@st.composite
+def pair_sweep_tables(draw):
+    """(D, keys, tol): a table of 1 to 150 rows, several row blocks, over
+    distinct or repeated points, with cells set to negatives, NaN, signed
+    zeros and values about abs_tol, sparse or in every block."""
+    n = draw(st.integers(1, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    classes = draw(st.sampled_from([n, max(1, n // 2), 3, 1]))
+    keys = [(int(c),) for c in rng.permutation(n) % classes]
+    tol = draw(st.sampled_from(TOLERANCES))
+    D = rng.uniform(0.5, 2.0, size=(n, n))
+    D[np.equal.outer([k[0] for k in keys], [k[0] for k in keys])] = 0.0
+    share = draw(st.sampled_from([0.0, 0.002, 0.05, 0.5]))
+    specials = np.array([-1.0, -5e-324, -0.0, 0.0, math.nan, 1e-9, 5e-10, 2e-9, 1e-3, 0.5])
+    hit = rng.random((n, n)) < share
+    D[hit] = rng.choice(specials, size=int(hit.sum()))
+    if draw(st.booleans()):
+        D[np.diag_indices(n)] = rng.choice(specials, size=n)
+    return D, keys, tol
+
+
+class TestPairSweep:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=pair_sweep_tables())
+    def test_matches_the_masks(self, case):
+        D, keys, tol = case
+        got, want = core._pair_witnesses(D, keys, tol), masked_pair_witnesses(D, keys, tol)
+        assert [hexed(found) for found in got] == [hexed(found) for found in want]
+
+    def test_caps_across_blocks(self):
+        # one negative cell per row, so each axiom reaches its cap only
+        # after 100 rows, several row blocks in, and the sweep stops there
+        n = 300
+        D = np.ones((n, n))
+        D[np.diag_indices(n)] = 0.0
+        D[np.arange(n), np.arange(n) * 37 % n] = -1.0
+        keys = [(k,) for k in range(n)]
+        got = core._pair_witnesses(D, keys, mk.ToleranceConfig())
+        assert got == masked_pair_witnesses(D, keys, mk.ToleranceConfig())
+        assert [len(found) for found in got] == [MAX_WITNESSES_PER_AXIOM] * 2
+        assert got[0][-1].indices[0] >= BLOCK_PAIRS // n
 
 
 def exact_triangle_excess(D, tol, factor) -> list:
