@@ -585,54 +585,21 @@ def verify_axioms(spec: MetricSpec, sample: Sequence, tol: ToleranceConfig = DEF
     reaches a few hundred; it fills row-major slabs of at most
     TRIANGLE_SLAB_FLOATS floats (at least one row of n). When the table is
     symmetric bit for bit, as every built-in kernel's is, it scans only the
-    triples with z >= x, about n^3 / 2, and mirrors the rest, and no
-    symmetry mask is built: each d(p,q) - d(q,p) is then 0 or NaN, which
-    no slack exceeds. A MatrixMetric whose table is not scans all n^3 over
+    triples with z >= x, about n^3 / 2, and mirrors the rest, and the pair
+    sweep skips symmetry. A MatrixMetric whose table is not scans all n^3 over
     a transposed copy of the table.
 
-    Memory: D and no n x n mask (``_pair_witnesses`` sweeps by row blocks).
-    The triangle pass then holds D, one slab and its candidate rows (see
-    ``_triangle_witnesses``): on a symmetric table tracemalloc peaks at 1.30
-    n^2 floats at n = 512, where one slab is n^2 / 4 floats, and 1.14 n^2 at
-    n = 1024. An asymmetric table adds the pass's transposed copy and its
-    symmetry mask by row blocks: 2.29 n^2 at n = 512, 2.07 n^2 at n = 1024.
-    The slacks read A = |D|, which is D itself unless an entry is negative;
-    such a table holds A too, n^2 floats more.
+    Memory: D, with no n x n mask or copy: ``_pair_witnesses`` sweeps by
+    row blocks, and each slack takes the magnitudes of the cells it has
+    gathered. The triangle pass adds one slab and its candidate rows (see
+    ``_triangle_witnesses``), and an asymmetric table the pass's transposed
+    copy of D.
     """
     pts = _canonical_sample(spec, sample)
     D = spec._cross(pts, pts)
-    negative, identity = _pair_witnesses(D, point_keys(pts), tol)
-    # the slacks' A = |D| is D with no negative entry: a zero's sign leaves each slack as it is
-    A = np.abs(D) if negative else D
     symmetric = _bitwise_symmetric(D)
-    symmetry = [] if symmetric else _symmetry_witnesses(D, A, tol)
-    return AxiomReport(negative + symmetry + identity + _triangle_witnesses(D, A, tol, symmetric))
-
-
-def _pair_witnesses(D: np.ndarray, keys, tol: ToleranceConfig) -> tuple[list[Witness], list[Witness]]:
-    """The nonnegativity and identity witnesses of D, each the first
-    MAX_WITNESSES_PER_AXIOM in lexicographic order, by ``row_blocks`` with no
-    n x n mask. Points of one of ``keys`` are the same point; their cells are
-    the diagonal when all are distinct. Every negative entry is at most
-    abs_tol, so a block whose entries at most abs_tol are its same-point
-    cells, each in [0, abs_tol], holds no witness."""
-    ids: dict = {}
-    cls = np.array([ids.setdefault(key, len(ids)) for key in keys])
-    distinct = len(ids) == len(D)
-    negative, identity = [], []
-    for lo, hi in row_blocks(*D.shape):
-        block = D[lo:hi]
-        i, j = (np.arange(hi - lo), np.arange(lo, hi)) if distinct else np.nonzero(cls[lo:hi, None] == cls)
-        close, same = block <= tol.abs_tol, block[i, j]
-        if np.count_nonzero(close) == len(i) and 0 <= same.min() and same.max() <= tol.abs_tol:
-            continue
-        close[i, j] = same > tol.abs_tol
-        for found, axiom, hits in ((negative, "nonnegativity", block < 0), (identity, "identity", close)):
-            cells = np.argwhere(hits)[: MAX_WITNESSES_PER_AXIOM - len(found)].tolist()
-            found += [Witness(axiom, (lo + r, c), float(block[r, c]), 0.0) for r, c in cells]
-        if len(negative) == len(identity) == MAX_WITNESSES_PER_AXIOM:
-            break
-    return negative, identity
+    negative, symmetry, identity = _pair_witnesses(D, point_keys(pts), tol, symmetric)
+    return AxiomReport(negative + symmetry + identity + _triangle_witnesses(D, tol, symmetric))
 
 
 def _bitwise_symmetric(D: np.ndarray) -> bool:
@@ -645,31 +612,55 @@ def _bitwise_symmetric(D: np.ndarray) -> bool:
 # Both passes compare rounded sums and differences of table entries; one
 # past the float range is +-inf, and is compared as it is, with no warning.
 @np.errstate(over="ignore")
-def _symmetry_witnesses(D: np.ndarray, A: np.ndarray, tol: ToleranceConfig) -> list[Witness]:
-    """The first MAX_WITNESSES_PER_AXIOM pairs (p, q), p < q, in
-    lexicographic order, with |d(p,q) - d(q,p)| > abs_tol + rel_tol *
-    max(|d(p,q)|, |d(q,p)|), where A = |D|. The mask is built by
-    ``row_blocks``, over the columns right of the diagonal, so its
-    temporaries hold about BLOCK_PAIRS floats each."""
-    found: list[Witness] = []
+def _pair_witnesses(D: np.ndarray, keys, tol: ToleranceConfig, symmetric: bool) -> tuple[list[Witness], ...]:
+    """The nonnegativity, symmetry and identity witnesses of D, each the
+    first MAX_WITNESSES_PER_AXIOM in lexicographic order, from one sweep by
+    ``row_blocks`` with no n x n mask.
+
+    Symmetry: the pairs (p, q), p < q, with |d(p,q) - d(q,p)| > abs_tol +
+    rel_tol * max(|d(p,q)|, |d(q,p)|), read over the columns right of each
+    block's diagonal. ``symmetric`` is ``_bitwise_symmetric(D)``; such a
+    table has none, since each difference is then 0 or NaN, which no slack
+    exceeds.
+
+    Nonnegativity and identity: points of one of ``keys`` are the same
+    point; their cells are the diagonal when all are distinct. Every
+    negative entry is at most abs_tol, so a block whose entries at most
+    abs_tol are its same-point cells, each in [0, abs_tol], holds neither."""
+    ids: dict = {}
+    cls = np.array([ids.setdefault(key, len(ids)) for key in keys])
+    distinct = len(ids) == len(D)
+    negative, symmetry, identity = [], [], []
     for lo, hi in row_blocks(*D.shape):
-        upper, lower = D[lo:hi, lo:], D[lo:, lo:hi].T  # cell (i, j) is d(lo + i, lo + j), d(lo + j, lo + i)
-        slack = tol.abs_tol + tol.rel_tol * np.maximum(A[lo:hi, lo:], A[lo:, lo:hi].T)
-        hits = np.argwhere(np.triu(np.abs(upper - lower) > slack, k=1))[: MAX_WITNESSES_PER_AXIOM - len(found)]
-        found += [Witness("symmetry", (lo + i, lo + j), float(upper[i, j]), float(lower[i, j])) for i, j in hits.tolist()]
-        if len(found) >= MAX_WITNESSES_PER_AXIOM:
+        if len(negative) == len(identity) == MAX_WITNESSES_PER_AXIOM and (
+            symmetric or len(symmetry) == MAX_WITNESSES_PER_AXIOM
+        ):
             break
-    return found
+        block = D[lo:hi]
+        if not symmetric and len(symmetry) < MAX_WITNESSES_PER_AXIOM:
+            upper, lower = block[:, lo:], D[lo:, lo:hi].T  # cell (i, j) is d(lo + i, lo + j), d(lo + j, lo + i)
+            slack = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(upper), np.abs(lower))
+            hits = np.argwhere(np.triu(np.abs(upper - lower) > slack, k=1))[: MAX_WITNESSES_PER_AXIOM - len(symmetry)]
+            symmetry += [
+                Witness("symmetry", (lo + i, lo + j), float(upper[i, j]), float(lower[i, j])) for i, j in hits.tolist()
+            ]
+        i, j = (np.arange(hi - lo), np.arange(lo, hi)) if distinct else np.nonzero(cls[lo:hi, None] == cls)
+        close, same = block <= tol.abs_tol, block[i, j]
+        if np.count_nonzero(close) == len(i) and 0 <= same.min() and same.max() <= tol.abs_tol:
+            continue
+        close[i, j] = same > tol.abs_tol
+        for found, axiom, hits in ((negative, "nonnegativity", block < 0), (identity, "identity", close)):
+            cells = np.argwhere(hits)[: MAX_WITNESSES_PER_AXIOM - len(found)].tolist()
+            found += [Witness(axiom, (lo + r, c), float(block[r, c]), 0.0) for r, c in cells]
+    return negative, symmetry, identity
 
 
 @np.errstate(over="ignore")
-def _triangle_witnesses(
-    D: np.ndarray, A: np.ndarray, tol: ToleranceConfig, symmetric: bool | None = None
-) -> list[Witness]:
+def _triangle_witnesses(D: np.ndarray, tol: ToleranceConfig, symmetric: bool) -> list[Witness]:
     """The first MAX_WITNESSES_PER_AXIOM triples (x, y, z), in lexicographic
     order, with L > fl(r + slack), where L = d(x,z), r = fl(d(x,y) + d(y,z))
     and slack = abs_tol + rel_tol * max(|L|, |d(x,y)|, |d(y,z)|).
-    ``symmetric`` is ``_bitwise_symmetric(D)``, computed here when not given.
+    ``symmetric`` is ``_bitwise_symmetric(D)``.
 
     Row-major slabs: E is D when D equals D.T bit for bit, and a contiguous
     copy of D.T otherwise, so E[z, y] is D[y, z] either way. For each x and z
@@ -705,14 +696,12 @@ def _triangle_witnesses(
     drops every triple with r == L, such as taxicab's bit-tight ones. A NaN
     rhs fails the compare and NaN lhs gives a NaN t, as neither can witness.
 
-    Memory: besides D, A and E, one slab buffer and, per x, the candidate
+    Memory: besides D and E, one slab buffer and, per x, the candidate
     rows, len(cols) x n floats. On the built-in kernels' tables few columns
     are candidates; on a badly broken table a row can have n of them, and
     its witnesses soon reach the cap.
     """
     n = D.shape[0]
-    if symmetric is None:
-        symmetric = _bitwise_symmetric(D)
     E = D if symmetric else np.ascontiguousarray(D.T)
     step = max(1, TRIANGLE_SLAB_FLOATS // n)
     buf = np.empty(min(step, n) * n)
@@ -731,11 +720,12 @@ def _triangle_witnesses(
         row = mirrors.pop(x, [])
         cols = np.flatnonzero(least[: n - lo] < t)
         if cols.size:
-            rhs = Dx + E[cols + lo]  # rhs[k, y] is r for z = cols[k] + lo
+            rhs = E[cols + lo]
+            rhs += Dx  # rhs[k, y] is r for z = cols[k] + lo, as float addition commutes
             ys, k = np.nonzero((rhs < t[cols, None]).T)  # in (y, z) order
             lhs, r = L[cols[k]], rhs[k, ys]
             zs = cols[k] + lo
-            slack = tol.abs_tol + tol.rel_tol * np.maximum(A[x, zs], np.maximum(A[x, ys], A[ys, zs]))
+            slack = tol.abs_tol + tol.rel_tol * np.abs([lhs, Dx[ys], D[ys, zs]]).max(0)
             hits = np.flatnonzero(lhs > r + slack)[: MAX_WITNESSES_PER_AXIOM - len(found)]
             row += [Witness("triangle", (x, int(ys[h]), int(zs[h])), float(lhs[h]), float(r[h])) for h in hits]
         if not row:

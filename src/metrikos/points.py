@@ -51,7 +51,10 @@ def as_point(p, dim: int | None = None) -> np.ndarray:
     numpy promotes a bool mixed with numbers, such as ``(True, 0.5)``, before
     that check. The result is always a fresh array, never a view of ``p``.
     """
-    arr = np.array(p, ndmin=1)
+    try:
+        arr = np.array(p, ndmin=1)
+    except ValueError:  # a sequence among the coordinates, such as [1, [1]]
+        raise CarrierError(f"point coordinates must be numbers, got {p!r}") from None
     if arr.dtype is not _FLOAT64:  # the common case skips the kind test and the cast
         if arr.dtype.kind not in "iuf":
             raise CarrierError(f"point coordinates must be numbers, got {p!r}")

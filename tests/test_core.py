@@ -8,7 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import metrikos as mk
 from metrikos import core, sampling
-from metrikos.core import AXIOMS, BLOCK_PAIRS, MAX_WITNESSES_PER_AXIOM, _symmetry_witnesses, _triangle_witnesses
+from metrikos.core import (
+    AXIOMS, BLOCK_PAIRS, MAX_WITNESSES_PER_AXIOM, _bitwise_symmetric, _pair_witnesses, _triangle_witnesses
+)
 
 from _support import builtin_cases
 
@@ -634,25 +636,35 @@ class TestVerifyAxioms:
                 assert report.symmetry_ok == symmetric_at_default_tol
 
     def test_memory_is_bounded_in_table_floats(self, rng):
-        # D is n^2 floats, and with no negative entry |D| is D; the
-        # nonnegativity and identity sweep builds no n x n mask, and the
-        # triangle pass adds one slab (n^2 / 4 floats here) and its
-        # candidate rows. An asymmetric table adds its symmetry mask's
-        # temporaries and its transposed copy.
+        # D is n^2 floats, with no n x n mask and no |D| copy: the pair
+        # sweep works by row blocks, the slacks take the magnitudes of the
+        # cells they gather, and the triangle pass adds one slab (n^2 / 4
+        # floats here) and its candidate rows. An asymmetric table adds the
+        # pass's transposed copy. A negative pair below every other entry's
+        # negation makes rows 0 and 1 of the triangle pass gather n - 1
+        # candidate rows each.
         n = 512
         sample = list(sampling.random_points(rng, n, dim=3))
-        asymmetric = mk.pairwise_distances(mk.Taxicab(), sample)
+        taxicab = mk.pairwise_distances(mk.Taxicab(), sample)
+        asymmetric, negative = taxicab.copy(), taxicab.copy()
         asymmetric[0, 1] += 0.5
-        matrix = mk.MatrixMetric(mk.DistanceMatrix(asymmetric))
-        for spec, points, bound in ((mk.Taxicab(), sample, 1.5), (matrix, list(range(n)), 4.13)):
+        negative[0, 1] = negative[1, 0] = -10.0
+        cases = [(mk.Taxicab(), sample, 1.5, set())] + [
+            (mk.MatrixMetric(mk.DistanceMatrix(table)), list(range(n)), 3.2, failing)
+            for table, failing in (
+                (asymmetric, {"symmetry", "triangle"}),
+                (negative, {"nonnegativity", "identity", "triangle"}),
+            )
+        ]
+        for spec, points, bound, failing in cases:
             tracemalloc.start()
             try:
                 report = mk.verify_axioms(spec, points)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert report.all_ok == (spec is not matrix)
-            assert peak <= bound * 8 * n * n, f"{spec.name}: {peak / (8 * n * n):.2f} n^2 floats"
+            assert {w.axiom for w in report.witnesses} == failing
+            assert peak < bound * 8 * n * n, f"{sorted(failing)}: {peak / (8 * n * n):.2f} n^2 floats"
 
 
 class TestTrianglePass:
@@ -663,7 +675,7 @@ class TestTrianglePass:
     def test_matches_brute_force(self, case):
         D, tol = case
         with np.errstate(all="ignore"):  # inf - inf and 0 * inf are NaN here
-            got = _triangle_witnesses(D, np.abs(D), tol)
+            got = _triangle_witnesses(D, tol, _bitwise_symmetric(D))
             want = brute_force_triangle_witnesses(D, tol)[:MAX_WITNESSES_PER_AXIOM]
         assert hexed(got) == hexed(want)
 
@@ -678,7 +690,7 @@ class TestTrianglePass:
         assert np.array_equal(D, D.T)
         reference = brute_force_triangle_witnesses(D, mk.ToleranceConfig())
         assert len(reference) > 2 * MAX_WITNESSES_PER_AXIOM
-        got = _triangle_witnesses(D, np.abs(D), mk.ToleranceConfig())
+        got = _triangle_witnesses(D, mk.ToleranceConfig(), _bitwise_symmetric(D))
         assert hexed(got) == hexed(reference[:MAX_WITNESSES_PER_AXIOM])
         mirrored = [w for w in got if w.indices[2] < w.indices[0]]
         assert len(mirrored) >= 0.4 * MAX_WITNESSES_PER_AXIOM  # each one mirrors an earlier own hit
@@ -698,7 +710,7 @@ class TestTrianglePass:
         D, tol = case
         with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
             mp.setattr(core, "TRIANGLE_SLAB_FLOATS", slab_floats(len(D)))
-            got = _triangle_witnesses(D, np.abs(D), tol)
+            got = _triangle_witnesses(D, tol, _bitwise_symmetric(D))
             want = brute_force_triangle_witnesses(D, tol)[:MAX_WITNESSES_PER_AXIOM]
         assert hexed(got) == hexed(want)
 
@@ -716,7 +728,7 @@ class TestTrianglePass:
         monkeypatch.setattr(core, "TRIANGLE_SLAB_FLOATS", 2 * n + n // 2)
         reference = brute_force_triangle_witnesses(D, mk.ToleranceConfig())
         assert len(reference) > MAX_WITNESSES_PER_AXIOM
-        got = _triangle_witnesses(D, np.abs(D), mk.ToleranceConfig())
+        got = _triangle_witnesses(D, mk.ToleranceConfig(), _bitwise_symmetric(D))
         assert hexed(got) == hexed(reference[:MAX_WITNESSES_PER_AXIOM])
         report = mk.verify_axioms(mk.MatrixMetric(mk.DistanceMatrix(D)), list(range(n)))
         assert hexed(report.for_axiom("triangle")) == hexed(got)
@@ -737,7 +749,7 @@ class TestSymmetryPass:
         D, tol = case
         with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
             mp.setattr(core, "BLOCK_PAIRS", block_pairs(len(D)))
-            got = _symmetry_witnesses(D, np.abs(D), tol)
+            got = _pair_witnesses(D, [(k,) for k in range(len(D))], tol, symmetric=False)[1]
             want = brute_force_symmetry_witnesses(D, tol)[:MAX_WITNESSES_PER_AXIOM]
         assert hexed(got) == hexed(want)
 
@@ -749,7 +761,7 @@ class TestSymmetryPass:
         D = np.arange(n * n, dtype=float).reshape(n, n)
         monkeypatch.setattr(core, "BLOCK_PAIRS", 2 * n)
         reference = brute_force_symmetry_witnesses(D, mk.ToleranceConfig())
-        got = _symmetry_witnesses(D, np.abs(D), mk.ToleranceConfig())
+        got = _pair_witnesses(D, [(k,) for k in range(n)], mk.ToleranceConfig(), symmetric=False)[1]
         assert hexed(got) == hexed(reference[:MAX_WITNESSES_PER_AXIOM])
         assert got[-1].indices[0] == 2 and reference[MAX_WITNESSES_PER_AXIOM].indices[0] == 2
 
@@ -757,7 +769,7 @@ class TestSymmetryPass:
     @given(case=triangle_tables())
     @example(case=(negative_table(), mk.ToleranceConfig()))
     def test_reports_on_finite_tables_match_brute_force(self, case):
-        # signed tables take |D| for their slacks, and the others D itself
+        # the slacks of signed tables take the magnitudes of their entries
         D, tol = case
         if not np.isfinite(D).all():
             D = np.where(np.isfinite(D), D, 1.0)
@@ -771,36 +783,19 @@ class TestSymmetryPass:
         assert hexed(report.for_axiom("triangle")) == hexed(triangle[:MAX_WITNESSES_PER_AXIOM])
         assert_verdicts_read_witnesses(report)
 
-    def test_asymmetric_table_memory_is_bounded_in_table_floats(self, rng):
-        # the symmetry mask is built by row blocks, and a table with no
-        # negative entry is its own |D|: D, the transposed copy and one slab
-        # (n^2 / 4 floats at n = 512) remain, where the whole-table mask
-        # peaked at 4.13 n^2
-        n = 512
-        sample = list(sampling.random_points(rng, n, dim=3))
-        asymmetric = mk.pairwise_distances(mk.Taxicab(), sample)
-        asymmetric[0, 1] += 0.5
-        matrix = mk.MatrixMetric(mk.DistanceMatrix(asymmetric))
-        for spec, points, bound in ((mk.Taxicab(), sample, 2.0), (matrix, list(range(n)), 3.2)):
-            tracemalloc.start()
-            try:
-                report = mk.verify_axioms(spec, points)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert report.symmetry_ok == (spec is not matrix)
-            assert peak < bound * 8 * n * n, f"{spec.name}: {peak / (8 * n * n):.2f} n^2 floats"
-
 
 def masked_pair_witnesses(D, keys, tol) -> tuple:
-    """The nonnegativity and identity witnesses from n x n masks, as
-    ``verify_axioms`` found them before its row-block sweep."""
+    """The nonnegativity, symmetry and identity witnesses from n x n masks,
+    as ``verify_axioms`` found them before its row-block sweep; a symmetry
+    witness (p, q), p < q, reports d(q, p) as its rhs."""
     ids: dict = {}
     cls = np.array([ids.setdefault(key, len(ids)) for key in keys])
+    slack = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(D), np.abs(D.T))
     masks = (("nonnegativity", D < 0),
+             ("symmetry", np.triu(np.abs(D - D.T) > slack, k=1)),
              ("identity", np.where(cls[:, None] == cls[None, :], D > tol.abs_tol, D <= tol.abs_tol)))
-    return tuple([mk.Witness(axiom, tuple(int(k) for k in idx), float(D[tuple(idx)]), 0.0)
-                  for idx in np.argwhere(mask)[:MAX_WITNESSES_PER_AXIOM]] for axiom, mask in masks)
+    return tuple([mk.Witness(axiom, (int(p), int(q)), float(D[p, q]), float(D[q, p]) if axiom == "symmetry" else 0.0)
+                  for p, q in np.argwhere(mask)[:MAX_WITNESSES_PER_AXIOM]] for axiom, mask in masks)
 
 
 @st.composite
@@ -829,21 +824,30 @@ class TestPairSweep:
     @given(case=pair_sweep_tables())
     def test_matches_the_masks(self, case):
         D, keys, tol = case
-        got, want = core._pair_witnesses(D, keys, tol), masked_pair_witnesses(D, keys, tol)
+        got, want = _pair_witnesses(D, keys, tol, _bitwise_symmetric(D)), masked_pair_witnesses(D, keys, tol)
         assert [hexed(found) for found in got] == [hexed(found) for found in want]
 
     def test_caps_across_blocks(self):
-        # one negative cell per row, so each axiom reaches its cap only
-        # after 100 rows, several row blocks in, and the sweep stops there
+        # one negative cell per row, with its mirror at 1, so each axiom
+        # reaches its cap only after 100 rows, several row blocks in, and
+        # the sweep stops there
         n = 300
         D = np.ones((n, n))
         D[np.diag_indices(n)] = 0.0
         D[np.arange(n), np.arange(n) * 37 % n] = -1.0
         keys = [(k,) for k in range(n)]
-        got = core._pair_witnesses(D, keys, mk.ToleranceConfig())
+        got = _pair_witnesses(D, keys, mk.ToleranceConfig(), symmetric=False)
         assert got == masked_pair_witnesses(D, keys, mk.ToleranceConfig())
-        assert [len(found) for found in got] == [MAX_WITNESSES_PER_AXIOM] * 2
+        assert [len(found) for found in got] == [MAX_WITNESSES_PER_AXIOM] * 3
         assert got[0][-1].indices[0] >= BLOCK_PAIRS // n
+        # every cell negative: nonnegativity and identity reach their caps in
+        # row 0, and the sweep goes on for the asymmetric pairs of rows 150 on
+        D = np.full((n, n), -1.0)
+        D[np.arange(150, n - 1), np.arange(151, n)] = -2.0
+        got = _pair_witnesses(D, keys, mk.ToleranceConfig(), symmetric=False)
+        assert got == masked_pair_witnesses(D, keys, mk.ToleranceConfig())
+        assert [len(found) for found in got] == [MAX_WITNESSES_PER_AXIOM] * 3
+        assert got[1][-1].indices == (249, 250)
 
 
 def exact_triangle_excess(D, tol, factor) -> list:

@@ -4,6 +4,7 @@ coordinates is always one (n, d) float64 array, so a batch of points of
 different lengths raises the dimension mismatch."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,22 @@ def test_a_batch_that_is_not_a_sequence_is_refused(batch):
         mk.WeightedGraph(2, [(0, 1, 1.0)], coords=batch)
     # a generator is a sequence of points
     assert as_points(p for p in [(0, 1), (2, 3)]).tolist() == [[0.0, 1.0], [2.0, 3.0]]
+
+
+@pytest.mark.parametrize("bad", [[1, [1]], [[1], [1, 2]], (0.5, (1.0, 2.0), 0.0)], ids=repr)
+def test_a_sequence_among_the_coordinates_is_not_a_number(bad):
+    # numpy refuses such a point with its own inhomogeneous-shape message
+    message = f"^point coordinates must be numbers, got {re.escape(repr(bad))}$"
+    for validate in (
+        lambda: mk.euclidean_distance(bad, [0, 0]),
+        lambda: mk.distance(mk.Taxicab(), [0, 0], bad),
+        lambda: mk.Euclidean().validate_many([[0, 0], bad]),
+        lambda: mk.WeightedGraph(2, [(0, 1, 1.0)], coords=[[0, 0], bad]),
+        lambda: mk.sphere_point(bad),
+        lambda: mk.GreatCircle().validate_many([[0.0, 0.0, 1.0], bad]),
+    ):
+        with pytest.raises(mk.CarrierError, match=message):
+            validate()
 
 
 # floats at the edges of the range, and the non-finite ones
