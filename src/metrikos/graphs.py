@@ -213,17 +213,16 @@ class WeightedGraph:
         the row's labels at once, in array rounds that the rows share, while
         it is wide.
 
-        Each row starts in the heap phase, over ``_adj``. It joins the rounds
-        once its heap holds ``wide(R)`` entries, for the R rows that share
-        them: at first all the rows asked for, and then, while the heap of
-        a row that joined is narrower than ``wide`` of the rows that joined,
-        that row finishes in its heap. The rows in the rounds are the
-        columns of an (n, R) label array indexed by position (see
-        ``_set_edges``). A round gathers the label of every arc's tail, a
-        run of R floats at a time, adds the arc's length, and takes one
-        ``np.minimum`` per degree level: level k lowers the heads at
-        positions 0..width-1. A row whose round improves fewer than
-        ``wide(R)`` labels leaves the rounds and ends in the heap phase,
+        Each row starts in the heap phase, over ``_adj``. One test moves it
+        into the rounds, and one moves it out. It joins them when
+        ``_settle`` finds its heap holding ``wide(R)`` entries, for the R
+        rows asked for. The rows in the rounds are the columns of a label
+        array with one row per vertex position (see ``_set_edges``). A round
+        gathers the label of every arc's tail, a run of one float per row
+        at a time, adds the arc's length, and takes one ``np.minimum`` per
+        degree level: level k lowers the heads at positions 0..width-1. A
+        row whose round improves fewer than ``wide(R)`` labels, for the R
+        rows then in the rounds, leaves them and ends in the heap phase,
         seeded with the vertices that round improved; that heap lowers the
         row's own array in place, through a memoryview, whose items read and
         write the same doubles as a list of Python floats.
@@ -252,7 +251,6 @@ class WeightedGraph:
         adj, n = self._adj, self.vertex_count
         order, place, tails, lengths, levels = self._layout
         per_row = -(-(len(tails) + n) // ROUND_ARCS_PER_POP)
-        grow = max(1, len(levels) - 1)  # a pop pushes one entry per arc of its vertex
 
         def wide(shared: int) -> int:
             return -(-ROUND_FIXED_POPS // shared) + per_row
@@ -263,24 +261,16 @@ class WeightedGraph:
             dist = [math.inf] * n
             dist[s] = 0.0
             heap = [(0.0, s)]
-            if _settle(adj, dist, heap, wide(len(sources)), grow):
-                joined.append((k, dist, heap))
+            if _settle(adj, dist, heap, wide(len(sources))):
+                joined.append((k, dist))
             else:
                 rows[k] = np.array(dist, dtype=float)
-        # fewer rows than asked for share the rounds
-        while joined and min(len(heap) for _, _, heap in joined) < wide(len(joined)):
-            fit = wide(len(joined))
-            for k, dist, heap in joined:
-                if len(heap) < fit:
-                    _settle(adj, dist, heap, sys.maxsize, grow)  # empties the heap
-                    rows[k] = np.array(dist, dtype=float)
-            joined = [j for j in joined if j[2]]
         if not joined:
             return rows
         # labels[p, r] is the label in row r of the vertex at position p;
         # positions 0..heads-1 head the arcs
-        labels = np.array([dist for _, dist, _ in joined], dtype=float).T[order]
-        joined = [k for k, _, _ in joined]
+        labels = np.array([dist for _, dist in joined], dtype=float).T[order]
+        joined = [k for k, _ in joined]
         heads = levels[0][1]
         # each arc's candidate label and its length once per row, for as many
         # rows as are left
@@ -308,7 +298,7 @@ class WeightedGraph:
                     seeds = np.flatnonzero(better[:, i])
                     heap = list(zip(labels[seeds, i].tolist(), order[seeds].tolist()))
                     heapq.heapify(heap)
-                    _settle(adj, memoryview(row), heap, sys.maxsize, grow)
+                    _settle(adj, memoryview(row), heap, sys.maxsize)
                     rows[joined[i]] = row
                 labels = labels[:, ~narrow].copy()  # C order, so a gather copies whole rows
                 joined = [k for k, gone in zip(joined, narrow.tolist()) if not gone]
@@ -329,23 +319,18 @@ class WeightedGraph:
         return d
 
 
-def _settle(adj, dist: list | memoryview, heap: list, wide: int, grow: int) -> bool:
+def _settle(adj, dist: list | memoryview, heap: list, wide: int) -> bool:
     """Dijkstra's heap phase: pop the least (label, vertex) entry of
     ``heap``, skip it if a later push made it stale, and lower ``dist`` (a
     list of floats, or a memoryview of a float64 row) over its arcs in
-    ``adj``, until the heap is empty (False) or holds at least
-    ``wide`` entries (True). A pop grows the heap by at most ``grow``
-    entries, so the size is checked only as often as it could have reached
-    ``wide``."""
+    ``adj``, until the heap is empty (False) or holds at least ``wide``
+    entries (True). The size is checked every 16 pops, which saves a check
+    per pop, so a heap may stop past ``wide``."""
     pop, push = heapq.heappop, heapq.heappush
     while heap:
-        room = wide - len(heap)
-        if room <= 0:
+        if len(heap) >= wide:
             return True
-        # the heap needs room // grow pops to reach wide; checking at most
-        # every 16 pops may overshoot by 16 * grow entries, and saves a size
-        # check per pop
-        for _ in range(max(16, room // grow)):
+        for _ in range(16):
             if not heap:
                 return False
             d, u = pop(heap)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +117,13 @@ class TestBallContains:
                 mk.Ball(spec, center, math.inf)
         with pytest.raises(ValueError, match="radius must be positive, got nan"):
             mk.Ball(mk.Euclidean(), (0, 0), math.nan)
+        # float() would read these as 1.0 and 2.0
+        for radius in (True, np.bool_(True), "2", b"2"):
+            for build in (mk.Ball, mk.ball_boundary):
+                with pytest.raises(ValueError, match=f"radius must be a number, got {re.escape(repr(radius))}"):
+                    build(mk.Euclidean(), (0, 0), radius)
+        for radius in (2, np.int64(2), np.float32(2.0)):
+            assert mk.Ball(mk.Euclidean(), (0, 0), radius).radius == 2.0
 
     def test_invalid_balls_rejected(self):
         with pytest.raises(ValueError, match="positive"):

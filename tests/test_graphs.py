@@ -296,6 +296,8 @@ class TestWeightedGraph:
             mk.WeightedGraph(2, [(0, 1, 1.0)], coords=[(0, 0), (1, 2, 3)])
         with pytest.raises(mk.CarrierError, match="must be numbers"):
             mk.WeightedGraph(2, [(0, 1, 1.0)], coords=[(0, 0), (True, False)])
+        with pytest.raises(ValueError, match="coords must list one point per vertex"):
+            mk.WeightedGraph(2, [(0, 1, 1.0)], coords=[(0, 0)])
         assert mk.WeightedGraph(2, [(0, 1, 1.0)], coords=[(0, 0), (1, 2)]).coords.shape == (2, 2)
 
     def test_edge_ids_and_vertex_count_are_not_truncated(self):
@@ -471,9 +473,9 @@ class TestSingleSourceRoutine:
     def test_both_phases_are_reached(self, monkeypatch):
         calls = []
 
-        def spy(adj, dist, heap, wide, grow):
+        def spy(adj, dist, heap, wide):
             seeded = len(heap)
-            wide_now = settle(adj, dist, heap, wide, grow)
+            wide_now = settle(adj, dist, heap, wide)
             calls.append((seeded, wide, wide_now))
             return wide_now
 
@@ -531,8 +533,8 @@ class TestSingleSourceRoutine:
     def test_a_path_never_joins_the_rounds(self, monkeypatch):
         calls = []
 
-        def spy(adj, dist, heap, wide, grow):
-            wide_now = settle(adj, dist, heap, wide, grow)
+        def spy(adj, dist, heap, wide):
+            wide_now = settle(adj, dist, heap, wide)
             calls.append(wide_now)
             return wide_now
 
@@ -544,6 +546,34 @@ class TestSingleSourceRoutine:
         # one heap per row, never wide: the 64 rows never share a round
         assert calls == [False] * 64
         assert all(np.array_equal(row.view(np.int64), heap_row(g, s).view(np.int64)) for s, row in zip(sources, rows))
+
+    def test_twelve_vertex_rows_stay_in_the_heap(self, monkeypatch):
+        calls = []
+
+        def spy(adj, dist, heap, wide):
+            wide_now = settle(adj, dist, heap, wide)
+            calls.append(wide_now)
+            return wide_now
+
+        settle = graphs._settle
+        monkeypatch.setattr(graphs, "_settle", spy)
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            # the heap is checked every 16 pops. One row of 12 vertices and 23
+            # edges pushes at most 47 entries, so it never holds wide(1) = 33
+            # after 16 pops
+            g = sampling.random_connected_graph(rng, 12, extra_edges=12)
+            calls.clear()
+            for s in range(12):
+                assert np.array_equal(g.single_source(s).view(np.int64), heap_row(g, s).view(np.int64))
+            assert calls == [False] * 12, seed
+            # a tree labels each vertex once: 12 entries, popped before the
+            # first check after the start, so even 12 rows together never join
+            tree = sampling.random_connected_graph(rng, 12)
+            calls.clear()
+            rows = list(tree.source_rows(list(range(12))))
+            assert calls == [False] * 12, seed
+            assert all(np.array_equal(row.view(np.int64), heap_row(tree, s).view(np.int64)) for s, row in enumerate(rows))
 
     def test_a_small_cache_builds_each_row_once(self, monkeypatch):
         g = sssp_graphs()["wild-lengths"]
@@ -841,3 +871,11 @@ class TestSimplicity:
 
     def test_closed_loop_counts_as_touching(self):
         assert not mk.polyline_is_simple(mk.Polyline([(0, 0), (1, 0), (1, 1), (0, 0)]))
+        # an end of one segment on a later segment that is not adjacent to it:
+        # (0, 0) ends the first segment and lies on the last one
+        assert not mk.polyline_is_simple(mk.Polyline([(0, 1), (0, 0), (1, 0), (1, -1), (-1, 1)]))
+        # (1, 0) ends the last segment and lies on the first one
+        assert not mk.polyline_is_simple(mk.Polyline([(0, 0), (2, 0), (2, -1), (1, 0)]))
+        # (5e-201, 5e-201) starts the last segment and lies on the first one; the
+        # fold test's dot product underflows to 0, so the touch test finds it
+        assert not mk.polyline_is_simple(mk.Polyline([(1e-200, 1e-200), (0, 0), (5e-201, 5e-201), (-1, 1)]))

@@ -36,6 +36,8 @@ class TestPointSetFiles:
         dim, loaded = fileio.load_points(path)
         assert dim == 3
         assert all(np.array_equal(a, b) for a, b in zip(pts, loaded))
+        with pytest.raises(ValueError, match="^point set must be nonempty$"):
+            fileio.dump_points(path, [])
 
     def test_dim_enforced(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -47,6 +49,10 @@ class TestPointSetFiles:
             path.write_text(json.dumps({"dim": dim, "points": [[1, 2], [3, 4]]}))
             with pytest.raises(mk.CarrierError, match="dim must be an integer"):
                 fileio.load_points(path)
+        path.write_text(json.dumps({"dim": 0, "points": []}))
+        with pytest.raises(ValueError) as err:
+            fileio.load_points(path)
+        assert str(err.value) == f"{path}: dim must be a positive integer"
         path.write_text(json.dumps({"dim": 2.0, "points": [[1, 2], [3, 4]]}))
         dim, points = fileio.load_points(path)
         assert dim == 2 and points.dtype == np.float64 and points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
@@ -223,6 +229,10 @@ class TestMatrixCsv:
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
             fileio.load_matrix_csv(path)
+        path.write_text("a,b\n\n")
+        with pytest.raises(ValueError) as err:
+            fileio.load_matrix_csv(path)
+        assert str(err.value) == f"{path}: header row but no data rows"
 
 
 class TestSvg:

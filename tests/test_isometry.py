@@ -42,6 +42,10 @@ class TestNamedMaps:
         assert np.array_equal(mk.named_map("translation", 1, 2).offset, (1, 2))
         with pytest.raises(ValueError, match="unknown map tag"):
             mk.named_map("shear")
+        with pytest.raises(ValueError, match="^plane map needs a 2x2 linear part and a 2-vector offset$"):
+            mk.PlaneMap([[1, 0]], [0, 0])
+        with pytest.raises(ValueError, match="^map entries must be finite$"):
+            mk.translation(math.inf, 0)
 
     def test_swap_axes(self):
         assert np.array_equal(mk.apply_map(mk.swap_axes(), (3, 7)), (7, 3))

@@ -244,6 +244,17 @@ class TestCircleExtremalPoints:
         nearest, farthest = mk.circle_extremal_points((2, 0, 0), circle)
         assert np.allclose(nearest, (1, 0, 0), atol=1e-15)
         assert np.allclose(farthest, (-1, 0, 0), atol=1e-15)
+        # near 2**48 the candidate center + r u rounds farther from x than
+        # center - r u, so the second candidate is returned as the nearest
+        t = 2.0**48
+        circle = mk.Circle3D((-t - 0.0625, -t, t + 0.0625), 0.1875, (-2, -1, 1))
+        x = np.array([-t - 0.25, -t - 0.0625, t + 0.125])
+        u = x - np.dot(x - circle.center, circle.normal) * circle.normal - circle.center
+        u = u / math.hypot(*u)
+        nearest, farthest = mk.circle_extremal_points(x, circle)
+        assert np.array_equal(nearest, circle.center - circle.radius * u)
+        assert np.array_equal(farthest, circle.center + circle.radius * u)
+        assert mk.euclidean_distance(x, nearest) < mk.euclidean_distance(x, farthest)
 
     def test_axis_point_is_degenerate(self):
         circle = mk.Circle3D((0, 0, 0), 1.0, (0, 0, 1))
@@ -279,6 +290,11 @@ class TestCircleExtremalPoints:
             with pytest.raises(ValueError, match=f"radius must be {why}"):
                 mk.Circle3D((0, 0, 0), radius, (0, 0, 1))
             with pytest.raises(ValueError, match=f"radius must be {why}"):
+                mk.Circle2D((0, 0), radius)
+        for radius in (True, np.bool_(True), "2", b"2"):
+            with pytest.raises(ValueError, match="radius must be a number"):
+                mk.Circle3D((0, 0, 0), radius, (0, 0, 1))
+            with pytest.raises(ValueError, match="radius must be a number"):
                 mk.Circle2D((0, 0), radius)
 
 
