@@ -60,7 +60,7 @@ def check_nesting(
     metric: MetricSpec, p, r: float, q, t: float, probes: Sequence
 ) -> tuple[bool, NestingWitness | None]:
     """Check B(q, t) <= B(p, r) over a probe set, given q in B(p, r) and
-    0 < t <= r - d(p, q).
+    0 < t <= r - d(p, q), with both radii read by ``finite_radius``.
 
     The inclusion is a theorem of the metric axioms, so the preconditions are
     enforced as errors; a False verdict therefore indicates a broken distance
@@ -73,7 +73,7 @@ def check_nesting(
     the kernel cannot evaluate, such as an unreachable graph vertex or a
     point of another dimension.
     """
-    r, t = float(r), float(t)
+    r, t = finite_radius(r), finite_radius(t)
     dpq = metric._eval(metric.validate_point(p), metric.validate_point(q))
     if not dpq < r:
         raise ValueError(f"q must lie inside B(p, r): d(p, q) = {dpq} >= r = {r}")

@@ -40,19 +40,19 @@ class WeightedGraph:
     """Undirected graph with strictly positive edge lengths.
 
     Edges are (u, v, length) triples over vertex ids 0..vertex_count-1; loops,
-    nonpositive lengths, and duplicate undirected edges are rejected, and a
-    length that is a bool, a string or bytes raises CarrierError. The
-    vertex count and the ids are integers, checked as ``as_integer`` checks
-    them, so no id is silently truncated. The checked edges are kept once,
-    in input order, as an int64 (2, m) id array and a float64 (m,) length
-    array; ``edges`` reads them back as (int, int, float) triples. One arc
-    layout by degree levels is built from those arrays, with the arcs of
-    each vertex for the heap (see ``_set_edges``); the array rounds of the
-    shortest-path routine and geodesic counting read the layout. ``coords``
-    optionally embeds each vertex (used by grids): one point per vertex, the
-    rows of an (n, d) array. Shortest-path rows are memoized per source, up
-    to ``SSSP_CACHE_FLOATS`` floats in all, oldest out first; the graph must
-    not be mutated after construction.
+    nonpositive lengths, and duplicate undirected edges are rejected; an edge
+    that is not a triple, or whose length is not an int or a float, raises
+    CarrierError. The vertex count and the ids are integers, checked as
+    ``as_integer`` checks them, so no id is silently truncated. The checked
+    edges are kept once, in input order, as an int64 (2, m) id array and a
+    float64 (m,) length array; ``edges`` reads them back as (int, int, float)
+    triples. One arc layout by degree levels is built from those arrays, with
+    the arcs of each vertex for the heap (see ``_set_edges``); only the array
+    rounds of the shortest-path routine read the layout. ``coords`` optionally
+    embeds each vertex (used by grids): one point per vertex, the rows of an
+    (n, d) array. Shortest-path rows are memoized per source, up to
+    ``SSSP_CACHE_FLOATS`` floats in all, oldest out first; the graph must not
+    be mutated after construction.
     """
 
     def __init__(self, vertex_count: int, edges: Sequence[tuple], coords=None):
@@ -64,12 +64,14 @@ class WeightedGraph:
         raw, us, vs, lengths, unread = [], [], [], [], None
         try:
             for e in edges:
-                u, v, length = e
+                try:
+                    u, v, length = e
+                except (TypeError, ValueError):
+                    raise CarrierError(f"edge {e!r} must be a (u, v, length) triple") from None
                 if not (type(u) is int and type(v) is int):
                     u, v = (as_integer(w, f"vertex id in edge {e}") for w in (u, v))
-                # a length is an int or a float, as a coordinate is; float() also reads bools, strings and bytes
+                # a length is an int or a float, as a coordinate is; float() would also read bools, strings and bytes
                 if type(length) not in (int, float) and not isinstance(length, (np.integer, np.floating)):
-                    float(length)  # what float() cannot read raises its own error
                     raise CarrierError(f"edge {e} must have a number as its length, got {length!r}")
                 lengths.append(float(length))
                 us.append(u)
@@ -157,14 +159,10 @@ class WeightedGraph:
         memoized per source. A distance past the float range raises
         ValueError rather than reading as unreachable.
         """
-        # an int with a cached row was checked when the row was built; True
-        # and 1.0 hash like 1, so every other type is checked before the lookup
-        if type(source) is not int:
-            source = self.check_vertex(source)
+        source = self.check_vertex(source)
         cached = self._sssp_cache.get(source)
         if cached is not None:
             return cached
-        self.check_vertex(source)  # an int with no row yet
         return self._keep(source, self._sssp([source])[0])
 
     def source_rows(self, sources: list[int]):
@@ -456,28 +454,22 @@ def count_geodesics(g: WeightedGraph, u, v) -> int:
             "longer path sums are not exact in float64"
         )
     s, t = (u, v) if u <= v else (v, u)
-    row = g.single_source(s)
-    if math.isinf(row[t]):
+    d = g.single_source(s)
+    if math.isinf(d[t]):
         raise no_path_error(u, v)
     if s == t:
         return 1  # the path of no edges
-    order, place, tails, lengths, levels = g._layout
-    d, far = row[order], row[t]  # d[p]: the distance of the vertex at position p
-    tight_tails, tight_heads = [], []
-    for lo, width in levels:
-        # the level's arcs, into the heads at positions 0..width-1
-        arc_tails = tails[lo : lo + width]
-        tight = np.flatnonzero((d[arc_tails] + lengths[lo : lo + width] == d[:width]) & (d[:width] <= far))
-        tight_tails.append(arc_tails[tight])
-        tight_heads.append(tight)
-    tails, heads = np.concatenate(tight_tails), np.concatenate(tight_heads)
+    # every edge both ways: the arcs tails[k] -> heads[k]
+    tails, heads = np.concatenate((g._ids, g._ids[::-1]), axis=1)
+    tight = (d[tails] + np.concatenate((lengths, lengths)) == d[heads]) & (d[heads] <= d[t])
+    tails, heads = tails[tight], heads[tight]
     by_distance = np.argsort(d[tails], kind="stable")
     sigma = [0] * g.vertex_count
-    sigma[place[s]] = 1
+    sigma[s] = 1
     # memoryviews yield the tight arcs' ends as Python ints, with no list built
     for a, b in zip(memoryview(tails[by_distance]), memoryview(heads[by_distance])):
         sigma[b] += sigma[a]
-    return sigma[place[t]]
+    return sigma[t]
 
 
 class Polyline:
@@ -519,7 +511,8 @@ class Polyline:
 polyline_arc_distance = Polyline.arc_distance
 
 
-def _orient(a, b, c) -> float:
+def _orient(a, b, c) -> int:
+    """Twice the signed area of abc, > 0 when c is left of a -> b: exact for int coordinates."""
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
@@ -555,14 +548,19 @@ def polyline_is_simple(c: Polyline) -> bool:
     over each other; non-adjacent segments must not touch at all (a chain
     whose last vertex revisits the first therefore counts as non-simple).
     """
-    segs = list(zip(c.vertices, c.vertices[1:]))
+    # float products of tiny coordinates underflow to 0; ints over one power-of-two denominator are exact
+    ratios = [x.as_integer_ratio() for x in c.vertices.ravel().tolist()]
+    den = max(d for _, d in ratios)
+    exact = [n * (den // d) for n, d in ratios]
+    pts = list(zip(exact[::2], exact[1::2]))
+    segs = list(zip(pts, pts[1:]))
     for i in range(len(segs)):
         for j in range(i + 1, len(segs)):
             a, b = segs[i]
             p, q = segs[j]
             if j == i + 1:
-                # share vertex b == p; bad only if the chain folds back on itself
-                if _orient(a, b, q) == 0 and float(np.dot(a - b, q - b)) > 0:
+                # share vertex b == p; the chain folds back if q is on ab or a on bq
+                if _orient(a, b, q) == 0 and (_on_segment(a, b, q) or _on_segment(b, q, a)):
                     return False
                 continue
             if _segments_intersect(a, b, p, q):

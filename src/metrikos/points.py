@@ -165,7 +165,7 @@ def as_indices(points: Sequence, n: int, what: str = "index") -> list[int]:
 def finite_radius(r) -> float:
     """``r`` as a float, or ValueError unless it is positive and finite. A
     bool, a string or bytes is refused, as it is as a coordinate."""
-    if isinstance(r, (bool, np.bool_, str, bytes)):
+    if not isinstance(r, float) and isinstance(r, (bool, np.bool_, str, bytes)):
         raise ValueError(f"radius must be a number, got {r!r}")
     r = float(r)
     if not r > 0:

@@ -146,6 +146,20 @@ class TestNesting:
         ok, _ = mk.check_nesting(mk.Euclidean(), (0, 0), 1.0, (0, 0), 1.0, probes)
         assert ok
 
+    def test_radii_are_read_as_a_balls_radius_is(self):
+        # float() would read True as 1.0 and "0.5" as 0.5, and r = inf would
+        # pass the precondition 0 < t <= r - d(p, q)
+        def nest(r, t):
+            return mk.check_nesting(mk.Euclidean(), (0, 0), r, (0.1, 0), t, [(0.2, 0)])
+
+        for r, t, refused in ((True, "0.5", True), (2.0, "0.5", "0.5"), (2.0, b"1", b"1"), (np.bool_(True), 0.5, np.bool_(True))):
+            with pytest.raises(ValueError, match=f"radius must be a number, got {re.escape(repr(refused))}"):
+                nest(r, t)
+        for r, t in ((math.inf, 0.5), (math.inf, math.inf), (2.0, math.inf)):
+            with pytest.raises(ValueError, match="radius must be finite, got inf"):
+                nest(r, t)
+        assert nest(np.int64(2), np.float32(0.5)) == (True, None)
+
     def test_preconditions_are_errors(self):
         with pytest.raises(ValueError, match="inside"):
             mk.check_nesting(mk.Euclidean(), (0, 0), 1.0, (5, 0), 0.5, [])

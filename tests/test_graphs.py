@@ -1,9 +1,11 @@
 import heapq
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import metrikos as mk
 from metrikos import sampling
@@ -32,15 +34,47 @@ def simple_path_lengths(g, u, v) -> list:
     return found
 
 
+def enumerated_geodesics(n, edges, u, v) -> int:
+    """The number of least-length simple paths from u to v among the
+    (a, b, length) triples ``edges`` of n vertices with int lengths, by
+    depth-first search: 0 when no path joins them, 1 when u == v. Reads
+    nothing of a graph object, so it shares no code with the library."""
+    nbrs = [[] for _ in range(n)]
+    for a, b, w in edges:
+        nbrs[a].append((b, w))
+        nbrs[b].append((a, w))
+    best = [math.inf, 0]  # the least length found, and how many paths have it
+
+    def walk(a, length, seen):
+        if length > best[0]:
+            return  # lengths are positive, so no extension is shorter
+        if a == v:
+            best[:] = [length, best[1] + 1] if length == best[0] else [length, 1]
+            return
+        for b, w in nbrs[a]:
+            if b not in seen:
+                walk(b, length + w, seen | {b})
+
+    walk(u, 0, {u})
+    return best[1]
+
+
 def per_edge_graph(vertex_count, edges):
     """The edge checks one edge at a time, as WeightedGraph once made them:
-    its ``edges`` and ``_adj``, or the first error in input order."""
+    its ``edges`` and ``_adj``, or the first error in input order. An edge
+    that is not a triple, or whose length is not an int or a float, is a
+    CarrierError."""
     seen = set()
     cleaned = []
     for e in edges:
-        u, v, length = e
+        try:
+            u, v, length = e
+        except (TypeError, ValueError):
+            raise mk.CarrierError(f"edge {e!r} must be a (u, v, length) triple") from None
         if not (type(u) is int and type(v) is int):
             u, v = (as_integer(w, f"vertex id in edge {e}") for w in (u, v))
+        if isinstance(length, bool) or not isinstance(length, (int, float, np.integer, np.floating)):
+            raise mk.CarrierError(f"edge {e} must have a number as its length, got {length!r}")
         length = float(length)
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise ValueError(f"edge {e} references a vertex outside 0..{vertex_count - 1}")
@@ -253,7 +287,7 @@ class TestEdgeChecksMatchThePerEdgeReference:
 
     def test_a_read_error_comes_before_a_coords_error(self):
         for coords in ([(0, 0)], [(0, 0), (True, False)]):
-            with pytest.raises(ValueError, match="not enough values to unpack"):
+            with pytest.raises(mk.CarrierError, match=r"edge \(0, 1\) must be a \(u, v, length\) triple"):
                 mk.WeightedGraph(2, [(0, 1, 1.0), (0, 1)], coords=coords)
 
     def test_edges_from_an_iterator(self):
@@ -324,6 +358,19 @@ class TestWeightedGraph:
             mk.WeightedGraph(3, [(0, 0, 1.0), (1, 2, "2")])
         g = mk.WeightedGraph(3, [(0, 1, np.int8(2)), (1, 2, np.float32(0.5))])
         assert g.edges == ((0, 1, 2.0), (1, 2, 0.5))
+
+    def test_malformed_edges_are_named(self):
+        # edges the read loop cannot unpack as (u, v, length), then lengths that are not numbers
+        for edge in ((0, 1), (0, 1, 1.0, 2.0), 5, None, "01"):
+            with pytest.raises(mk.CarrierError, match=f"edge {re.escape(repr(edge))} must be a \\(u, v, length\\) triple"):
+                mk.WeightedGraph(2, [(0, 1, 1.0), edge])
+        for bad in (None, [1], 1j):
+            with pytest.raises(mk.CarrierError, match=f"edge \\(0, 1, {re.escape(repr(bad))}\\) must have a number as its length"):
+                mk.WeightedGraph(2, [(0, 1, bad)])
+        # the refusal waits for the checks of the edges before it
+        for edges in ([(0, 0, 1.0), (0, 1)], [(0, 0, 1.0), (0, 1, None)]):
+            with pytest.raises(ValueError, match="loop edge at vertex 0"):
+                mk.WeightedGraph(2, edges)
 
     def test_path_graph(self):
         g = mk.WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
@@ -722,6 +769,33 @@ class TestCountGeodesics:
             for u, v in rng.choice(ids, size=(40, 2)).tolist():
                 assert mk.count_geodesics(g, u, v) == per_vertex_geodesics(g, min(u, v), max(u, v))
 
+    def test_matches_an_enumeration_that_shares_no_code(self):
+        # every ordered pair of small graphs with edges given in both id
+        # orders, small int lengths that tie routes, and vertices no edge meets
+        rng = np.random.default_rng(410)
+        cases = [(1, []), (2, []), (4, [(0, 1, 1), (3, 1, 1), (0, 2, 1), (2, 3, 1)])]
+        for _ in range(100):
+            n = int(rng.integers(2, 10))
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            picked = rng.permutation(len(pairs))[: int(rng.integers(0, min(len(pairs), 2 * n) + 1))]
+            edges = [pairs[k][:: rng.choice((1, -1))] + (int(rng.integers(1, 4)),) for k in picked.tolist()]
+            cases.append((n, edges))
+        tied = unreachable = isolated = 0
+        for n, edges in cases:
+            g = mk.WeightedGraph(n, edges)
+            isolated += len({x for a, b, _ in edges for x in (a, b)}) < n
+            for u in range(n):
+                for v in range(n):
+                    want = enumerated_geodesics(n, edges, u, v)
+                    if want == 0:
+                        with pytest.raises(mk.UnreachableError):
+                            mk.count_geodesics(g, u, v)
+                    else:
+                        assert mk.count_geodesics(g, u, v) == want, (n, edges, u, v)
+                    tied += want > 1
+                    unreachable += want == 0
+        assert tied >= 250 and unreachable >= 500 and isolated >= 30
+
     def test_counts_past_2_64(self):
         g = mk.grid_graph(60, 60)
         count = mk.count_geodesics(g, 0, grid_vertex(60, 59, 59))
@@ -857,6 +931,22 @@ class TestPolyline:
 
 
 class TestSimplicity:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        chain=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=6),
+        scale=st.sampled_from([2.0**-600, 2.0**600]),
+    )
+    @example(chain=[(2, 2), (0, 0), (1, 1)], scale=2.0**-600)
+    @example(chain=[(10, 10), (0, 0), (5, 6)], scale=2.0**-600)
+    def test_verdict_is_unchanged_by_scaling(self, chain, scale):
+        # scaling by a power of two is exact, and float products of the
+        # scaled coordinates underflow to 0 or overflow to inf
+        chain = [p for k, p in enumerate(chain) if k == 0 or p != chain[k - 1]]
+        if len(chain) < 2:
+            return
+        scaled = [(x * scale, y * scale) for x, y in chain]
+        assert mk.polyline_is_simple(mk.Polyline(scaled)) == mk.polyline_is_simple(mk.Polyline(chain))
+
     def test_simple_chain(self):
         assert mk.polyline_is_simple(mk.Polyline([(0, 0), (1, 0), (1, 1), (0, 1)]))
 
@@ -865,6 +955,12 @@ class TestSimplicity:
 
     def test_fold_back(self):
         assert not mk.polyline_is_simple(mk.Polyline([(0, 0), (2, 0), (1, 0)]))
+        assert not mk.polyline_is_simple(mk.Polyline([(0, 0), (2, 0), (-1, 0)]))
+        # float products of these coordinates underflow to 0: the first
+        # chain folds back, and the second turns, as its copy scaled by 2e200 does
+        assert not mk.polyline_is_simple(mk.Polyline([(1e-200, 1e-200), (0, 0), (5e-201, 5e-201)]))
+        assert mk.polyline_is_simple(mk.Polyline([(1e-200, 1e-200), (0, 0), (5e-201, 6e-201)]))
+        assert mk.polyline_is_simple(mk.Polyline([(2, 2), (0, 0), (1, 1.2)]))
 
     def test_straight_continuation_ok(self):
         assert mk.polyline_is_simple(mk.Polyline([(0, 0), (1, 0), (2, 0)]))
