@@ -77,7 +77,7 @@ def check_nesting(
     dpq = metric._eval(metric.validate_point(p), metric.validate_point(q))
     if not dpq < r:
         raise ValueError(f"q must lie inside B(p, r): d(p, q) = {dpq} >= r = {r}")
-    if not 0 < t <= r - dpq:
+    if not t <= r - dpq:  # finite_radius refused t <= 0
         raise ValueError(f"need 0 < t <= r - d(p, q) = {r - dpq}, got t = {t}")
     inner, outer = metric._cross(metric.validate_many([q, p]), metric.validate_many(probes))
     escaped = np.flatnonzero((inner < t) & ~(outer < r))

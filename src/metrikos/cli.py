@@ -124,7 +124,7 @@ def _map_field(data: dict, key: str, shape: tuple, usage: str) -> np.ndarray:
     """The numbers under ``key`` as an array of ``shape``, or ValueError."""
     try:
         arr = np.array(data[key], dtype=float)
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):  # OverflowError: a JSON int past the float range
         arr = None
     if arr is None or arr.shape != shape:
         raise ValueError(f"{data['map']} needs {usage}")

@@ -78,25 +78,24 @@ def dump_points(path, points) -> None:
 
 
 def load_graph(path) -> WeightedGraph:
-    """Read a graph JSON file into a WeightedGraph. A file past
-    MAX_GRAPH_FILE_BYTES bytes is refused before it is parsed, and one past
-    MAX_GRAPH_VERTICES vertices or MAX_GRAPH_EDGES edges before the graph
-    is built."""
+    """Read a graph JSON file into a WeightedGraph, which reads the decoded
+    edge lists as they are. A file past MAX_GRAPH_FILE_BYTES bytes is
+    refused before it is parsed, and one past MAX_GRAPH_VERTICES vertices
+    or MAX_GRAPH_EDGES edges before the graph is built."""
     with open(path) as f:
         size = os.fstat(f.fileno()).st_size
         if size > MAX_GRAPH_FILE_BYTES:
             raise ValueError(f"{path}: a graph file of {size} bytes is past the cap of {MAX_GRAPH_FILE_BYTES} bytes")
         data = parse_json(f.read(), path)
     edges = data.get("edges") if isinstance(data, dict) else None
-    if not (isinstance(edges, list) and "vertices" in data
-            and all(isinstance(e, list) and len(e) == 3 and type(e[2]) in (int, float) for e in edges)):
+    if not (isinstance(edges, list) and "vertices" in data):
         raise ValueError(f"{path}: expected an object with 'vertices' and an 'edges' list of [u, v, length] lists")
     vertices = as_integer(data["vertices"], "vertex_count")
     if vertices > MAX_GRAPH_VERTICES:
         raise ValueError(f"{path}: a graph of {vertices} vertices is past the cap of {MAX_GRAPH_VERTICES} vertices")
     if len(edges) > MAX_GRAPH_EDGES:
         raise ValueError(f"{path}: a graph of {len(edges)} edges is past the cap of {MAX_GRAPH_EDGES} edges")
-    return WeightedGraph(vertices, [tuple(e) for e in edges], coords=data.get("coords"))
+    return WeightedGraph(vertices, edges, coords=data.get("coords"))
 
 
 def load_matrix_csv(path) -> DistanceMatrix:
@@ -104,9 +103,9 @@ def load_matrix_csv(path) -> DistanceMatrix:
 
     Only the CSV format is checked here: the file needs data rows, and at
     most MAX_MATRIX_ROWS rows and columns of them; reading stops at the
-    first row past either. The ``DistanceMatrix`` that holds them checks
-    that they are finite and square; its error is raised with the path in
-    front.
+    first row past either. The ``DistanceMatrix`` that holds them parses
+    the cells, as ``float()`` does, and checks that they are finite and
+    square; its error is raised with the path in front.
     """
     rows = []
     with open(path, newline="") as f:
@@ -116,7 +115,7 @@ def load_matrix_csv(path) -> DistanceMatrix:
                     raise ValueError(
                         f"{path}: a matrix of {len(row)} columns is past the cap of {MAX_MATRIX_ROWS} rows and columns"
                     )
-                if row and any(cell.strip() for cell in row):
+                if any(map(str.strip, row)):  # not a blank row
                     rows.append(row)
                     if len(rows) > MAX_MATRIX_ROWS + 1:  # past the data rows and a header
                         break
@@ -126,9 +125,9 @@ def load_matrix_csv(path) -> DistanceMatrix:
         raise ValueError(f"{path}: empty matrix file")
     labels = None
     try:
-        list(map(float, rows[0]))
+        np.array(rows[0], dtype=float)
     except ValueError:  # a label header row
-        labels, rows = tuple(cell.strip() for cell in rows[0]), rows[1:]
+        labels, rows = tuple(map(str.strip, rows[0])), rows[1:]
         if not rows:
             raise ValueError(f"{path}: header row but no data rows")
     if len(rows) > MAX_MATRIX_ROWS:
@@ -136,6 +135,6 @@ def load_matrix_csv(path) -> DistanceMatrix:
             f"{path}: a matrix of more than {MAX_MATRIX_ROWS} rows is past the cap of {MAX_MATRIX_ROWS} rows and columns"
         )
     try:
-        return DistanceMatrix([list(map(float, row)) for row in rows], labels=labels)
+        return DistanceMatrix(rows, labels=labels)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None

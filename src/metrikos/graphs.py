@@ -42,26 +42,32 @@ class WeightedGraph:
     Edges are (u, v, length) triples over vertex ids 0..vertex_count-1; loops,
     nonpositive lengths, and duplicate undirected edges are rejected; an edge
     that is not a triple, or whose length is not an int or a float, raises
-    CarrierError. The vertex count and the ids are integers, checked as
-    ``as_integer`` checks them, so no id is silently truncated. The checked
-    edges are kept once, in input order, as an int64 (2, m) id array and a
-    float64 (m,) length array; ``edges`` reads them back as (int, int, float)
-    triples. One arc layout by degree levels is built from those arrays, with
-    the arcs of each vertex for the heap (see ``_set_edges``); only the array
-    rounds of the shortest-path routine read the layout. ``coords`` optionally
-    embeds each vertex (used by grids): one point per vertex, the rows of an
-    (n, d) array. Shortest-path rows are memoized per source, up to
-    ``SSSP_CACHE_FLOATS`` floats in all, oldest out first; the graph must not
-    be mutated after construction.
+    CarrierError, as ``edges`` that are not iterable do; an int length past
+    the float range is refused as a nonfinite one. The vertex count and the
+    ids are integers, checked as ``as_integer`` checks them, so no id is
+    silently truncated. The checked edges are kept once, in input order, as an
+    int64 (2, m) id array and a float64 (m,) length array; ``edges`` reads
+    them back as (int, int, float) triples. One arc layout by degree levels is
+    built from those arrays, with the arcs of each vertex for the heap (see
+    ``_set_edges``); only the array rounds of the shortest-path routine read
+    the layout. ``coords`` optionally embeds each vertex (used by grids): one
+    point per vertex, the rows of an (n, d) array. Shortest-path rows are
+    memoized per source, up to ``SSSP_CACHE_FLOATS`` floats in all, oldest out
+    first; the graph must not be mutated after construction.
     """
 
     def __init__(self, vertex_count: int, edges: Sequence[tuple], coords=None):
         vertex_count = as_integer(vertex_count, "vertex_count")
         if vertex_count <= 0:
             raise ValueError(f"vertex_count must be positive, got {vertex_count}")
+        try:
+            edges = iter(edges)
+        except TypeError:
+            raise CarrierError(f"edges must be an iterable of (u, v, length) triples, got {edges!r}") from None
+        edges = list(edges)
         # one pass reads the edges, up to the first one it cannot read; the
         # edges before it are checked by array passes
-        raw, us, vs, lengths, unread = [], [], [], [], None
+        us, vs, lengths, unread = [], [], [], None
         try:
             for e in edges:
                 try:
@@ -73,17 +79,19 @@ class WeightedGraph:
                 # a length is an int or a float, as a coordinate is; float() would also read bools, strings and bytes
                 if type(length) not in (int, float) and not isinstance(length, (np.integer, np.floating)):
                     raise CarrierError(f"edge {e} must have a number as its length, got {length!r}")
-                lengths.append(float(length))
+                try:
+                    lengths.append(float(length))
+                except OverflowError:  # an int past the float range, refused with the nonfinite lengths
+                    lengths.append(math.inf)
                 us.append(u)
                 vs.append(v)
-                raw.append(e)
         except Exception as err:
             unread = err
         try:
             ids = np.array([us, vs], dtype=np.int64)
         except OverflowError:  # an id past int64, which the range check refuses
             ids = np.array([us, vs], dtype=object)
-        self._set_edges(vertex_count, ids, np.array(lengths, dtype=float), raw.__getitem__, unread, coords)
+        self._set_edges(vertex_count, ids, np.array(lengths, dtype=float), edges.__getitem__, unread, coords)
 
     @classmethod
     def _from_arrays(cls, vertex_count: int, ids: np.ndarray, lengths: np.ndarray, coords=None) -> WeightedGraph:

@@ -163,9 +163,9 @@ class TestNesting:
     def test_preconditions_are_errors(self):
         with pytest.raises(ValueError, match="inside"):
             mk.check_nesting(mk.Euclidean(), (0, 0), 1.0, (5, 0), 0.5, [])
-        with pytest.raises(ValueError, match="t"):
+        with pytest.raises(ValueError, match=re.escape("need 0 < t <= r - d(p, q) = 0.5, got t = 0.9")):
             mk.check_nesting(mk.Euclidean(), (0, 0), 1.0, (0.5, 0), 0.9, [])
-        with pytest.raises(ValueError, match="t"):
+        with pytest.raises(ValueError, match="radius must be positive"):
             mk.check_nesting(mk.Euclidean(), (0, 0), 1.0, (0.5, 0), 0.0, [])
 
         # a probe outside the carrier raises what validate_point raises for it

@@ -64,11 +64,14 @@ class TestDist:
             {"vertices": 2, "edges": [[0, 1, [1]]]},
             {"vertices": 2, "edges": [[0, 1, 1.0]], "coords": 5},
             {"vertices": 2, "edges": [[0, 1]]},
+            {"vertices": 2, "edges": [[0, 1, 10**400]]},
+            {"vertices": 2, "edges": [[0, 1, -(10**400)]]},
         ],
-        ids=["edges-not-a-list", "edge-not-a-list", "length-not-a-number", "coords-not-a-list", "edge-of-two"],
+        ids=["edges-not-a-list", "edge-not-a-list", "length-not-a-number", "coords-not-a-list", "edge-of-two",
+             "length-past-float", "length-far-below-float"],
     )
     def test_malformed_graph_file_is_usage_error(self, tmp_path, capsys, graph):
-        # each of these once ended in a TypeError traceback and exit 1
+        # each of these once ended in a TypeError or OverflowError traceback and exit 1
         gfile = tmp_path / "g.json"
         gfile.write_text(json.dumps(graph))
         assert cli.main(["dist", "--metric", "graphpath", "--graph", str(gfile), "-p", "0", "-q", "1"]) == 2
@@ -470,8 +473,12 @@ class TestIsometry:
     def test_bad_map_json_is_usage_error(self):
         res = run_cli("isometry", "--map", "{not json", "--metric", "euclidean", "--random", "4")
         assert res.returncode == 2
-        # a missing or misshapen field is a usage error too, not a traceback
-        for bad in ('{"map": "orthogonal"}', '{"map": "translation", "a": 5}', '{"map": "rotation", "theta": 1e400}'):
+        # a missing or misshapen field is a usage error too, not a traceback,
+        # and so is an int past the float range, which once raised OverflowError
+        huge = "1" + "0" * 400
+        for bad in ('{"map": "orthogonal"}', '{"map": "translation", "a": 5}', '{"map": "rotation", "theta": 1e400}',
+                    f'{{"map": "rotation", "theta": {huge}}}', f'{{"map": "translation", "a": [-{huge}, 0]}}',
+                    f'{{"map": "orthogonal", "matrix": [[{huge}, 0, 0], [0, 1, 0], [0, 0, 1]]}}'):
             res = run_cli("isometry", "--map", bad, "--metric", "euclidean", "--random", "4")
             assert res.returncode == 2, bad
             assert res.stderr.startswith(b"error: ") and b"Traceback" not in res.stderr, bad

@@ -1,4 +1,5 @@
 import heapq
+import json
 import math
 import re
 import sys
@@ -8,8 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import metrikos as mk
-from metrikos import sampling
-from metrikos import graphs
+from metrikos import fileio, graphs, sampling
 from metrikos.graphs import grid_vertex
 from metrikos.points import as_index, as_integer, as_point
 
@@ -63,7 +63,12 @@ def per_edge_graph(vertex_count, edges):
     """The edge checks one edge at a time, as WeightedGraph once made them:
     its ``edges`` and ``_adj``, or the first error in input order. An edge
     that is not a triple, or whose length is not an int or a float, is a
-    CarrierError."""
+    CarrierError, as ``edges`` that are not iterable are; an int length past
+    the float range is a length that is not finite."""
+    try:
+        edges = iter(edges)
+    except TypeError:
+        raise mk.CarrierError(f"edges must be an iterable of (u, v, length) triples, got {edges!r}") from None
     seen = set()
     cleaned = []
     for e in edges:
@@ -75,7 +80,10 @@ def per_edge_graph(vertex_count, edges):
             u, v = (as_integer(w, f"vertex id in edge {e}") for w in (u, v))
         if isinstance(length, bool) or not isinstance(length, (int, float, np.integer, np.floating)):
             raise mk.CarrierError(f"edge {e} must have a number as its length, got {length!r}")
-        length = float(length)
+        try:
+            length = float(length)
+        except OverflowError:
+            length = math.inf
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise ValueError(f"edge {e} references a vertex outside 0..{vertex_count - 1}")
         if u == v:
@@ -211,6 +219,8 @@ EDGE_FAULTS = {
     "length-minus-inf": lambda rng, n, before: (2, 1, -math.inf),
     "length-unreadable": lambda rng, n, before: (0, 1, "one"),
     "length-none": lambda rng, n, before: (0, 1, None),
+    "length-past-float": lambda rng, n, before: (1, 2, 10**400),
+    "length-far-below-float": lambda rng, n, before: (2, 1, -(10**400)),
     "duplicate": lambda rng, n, before: (*earlier_edge(rng, before)[:2], 4.0),
     "duplicate-reversed": lambda rng, n, before: (*earlier_edge(rng, before)[1::-1], 4.0),
     # faults of two kinds in one edge: the first in check order wins
@@ -294,7 +304,42 @@ class TestEdgeChecksMatchThePerEdgeReference:
         edges = [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 1.5)]
         assert graph_outcome(3, iter(edges)) == per_edge_graph(3, edges)
         assert graph_outcome(3, (e for e in edges + [(0, 0, 1.0)])) == (ValueError, "loop edge at vertex 0 is not allowed")
-        assert graph_outcome(3, 5) == outcome(lambda: per_edge_graph(3, 5))
+        for unusable in (5, None):
+            want = (mk.CarrierError, f"edges must be an iterable of (u, v, length) triples, got {unusable!r}")
+            assert graph_outcome(3, unusable) == outcome(lambda: per_edge_graph(3, unusable)) == want
+
+        def broken():
+            yield (0, 1, 1.0)
+            raise TypeError("the source failed")
+
+        # an iterable that fails partway raises its own error, not "not iterable"
+        assert graph_outcome(3, broken()) == (TypeError, "the source failed")
+
+    def test_graph_files_give_what_the_reference_gives(self, tmp_path):
+        # load_graph hands the decoded edge lists to WeightedGraph as they
+        # are, so a file gives the graph or the first error that the
+        # reference gives for those lists
+        def load():
+            g = fileio.load_graph(path)
+            return g.edges, g._adj
+
+        path = tmp_path / "g.json"
+        rng = np.random.default_rng(300)
+        for kind in [None] + sorted(EDGE_FAULTS):
+            for _ in range(6):
+                n = int(rng.integers(3, 30))
+                edges = random_edges(rng, n, int(rng.integers(1, 2 * n)))
+                if kind is not None:
+                    k = int(rng.integers(1, len(edges) + 1))
+                    edges.insert(k, EDGE_FAULTS[kind](rng, n, edges[:k]))
+                    try:
+                        json.dumps(edges[k], allow_nan=False)
+                    except (TypeError, ValueError):
+                        break  # NaN, the infinities and numpy bools have no JSON form
+                # the float32 lengths of random_edges are written as floats
+                path.write_text(json.dumps({"vertices": n, "edges": edges}, default=float))
+                decoded = json.loads(path.read_text())["edges"]
+                assert outcome(load) == outcome(lambda: per_edge_graph(n, decoded)), (kind, decoded)
 
     @pytest.mark.parametrize("size", [(1, 1), (1, 9), (9, 1), (3, 4), (136, 110)])
     def test_grid_edges_in_the_per_cell_order(self, size):

@@ -128,10 +128,23 @@ class TestGraphFiles:
 
     def test_edges_must_be_lists_of_three_with_numeric_lengths(self, tmp_path):
         path = tmp_path / "g.json"
-        for edges in (5, [5], [[0, 1]], [[0, 1, 1.0, 2.0]], [[0, 1, [1]]], [[0, 1, "1.5"]], [[0, 1, True]], [[0, 1, None]]):
+        path.write_text(json.dumps({"vertices": 2, "edges": 5}))
+        with pytest.raises(ValueError, match="'edges' list of \\[u, v, length\\] lists"):
+            fileio.load_graph(path)
+        # WeightedGraph reads each edge, and names it as the file writes it
+        for edges, message in (
+            ([5], "edge 5 must be a (u, v, length) triple"),
+            ([[0, 1]], "edge [0, 1] must be a (u, v, length) triple"),
+            ([[0, 1, 1.0, 2.0]], "edge [0, 1, 1.0, 2.0] must be a (u, v, length) triple"),
+            ([[0, 1, [1]]], "edge [0, 1, [1]] must have a number as its length, got [1]"),
+            ([[0, 1, "1.5"]], "edge [0, 1, '1.5'] must have a number as its length, got '1.5'"),
+            ([[0, 1, True]], "edge [0, 1, True] must have a number as its length, got True"),
+            ([[0, 1, None]], "edge [0, 1, None] must have a number as its length, got None"),
+        ):
             path.write_text(json.dumps({"vertices": 2, "edges": edges}))
-            with pytest.raises(ValueError, match="'edges' list of \\[u, v, length\\] lists"):
+            with pytest.raises(mk.CarrierError) as err:
                 fileio.load_graph(path)
+            assert str(err.value) == message
         path.write_text(json.dumps({"vertices": 2, "edges": [[0, 1, 2]]}))
         assert fileio.load_graph(path).edges == ((0, 1, 2.0),)
 
@@ -215,6 +228,22 @@ class TestMatrixCsv:
             with pytest.raises(ValueError) as err:
                 fileio.load_matrix_csv(path)
             assert str(err.value) == message
+
+    def test_cells_are_read_as_float_reads_them(self, tmp_path):
+        # DistanceMatrix parses the cells as written, by Python's float grammar
+        cells = ["1_0", " 1.5 ", "+.5", "5.", "-0", "\u0661\u0662", "\u0663.\u0665", "1e-3", "\u2003 2 ", "-7E+2", "0.1"]
+        n = len(cells)
+        table = [[cells[(i + j) % n] for j in range(n)] for i in range(n)]
+        path = tmp_path / "m.csv"
+        for header in ("", ",".join(f"p{i}" for i in range(n)) + "\n"):
+            path.write_text(header + "".join(",".join(row) + "\n" for row in table), encoding="utf-8")
+            got = fileio.load_matrix_csv(path).values
+            assert got.tobytes() == np.array([[float(c) for c in row] for row in table]).tobytes()
+        for text in ("0,1\nx,0\n", "a,b\n0,x\n1,0\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError) as err:
+                fileio.load_matrix_csv(path)
+            assert str(err.value) == f"{path}: could not convert string to float: 'x'"
 
     def test_a_field_past_the_csv_limit_is_a_value_error(self, tmp_path):
         # csv.Error is no ValueError, so the CLI printed a traceback and exited 1
