@@ -168,7 +168,9 @@ def ball_boundary(metric: MetricSpec, center, radius: float, n: int = DEFAULT_BO
     angle), Taxicab (diamond through center +- (r, 0) and (0, r)), Chebyshev
     (square with corners center + (+-r, +-r)). Samples run counterclockwise
     and include the polygon vertices exactly; n >= 8, and the radius is
-    positive and finite.
+    positive and finite. A ball whose boundary leaves the float range, or
+    whose radius is lost in the rounding of its center's coordinates, is
+    refused: its samples could not trace the boundary.
     """
     c = as_point(center, dim=2)
     radius = finite_radius(radius)  # inf * 0 would give NaN samples
@@ -179,4 +181,10 @@ def ball_boundary(metric: MetricSpec, center, radius: float, n: int = DEFAULT_BO
     if spec != metric:
         *drawable, last = _SHAPES
         raise ValueError(f"ball boundaries are drawn for {', '.join(drawable)}, and {last} only")
+    for x in c.tolist():  # the boundary reaches x - r and x + r on each axis
+        lo, hi = x - radius, x + radius
+        if not -math.inf < lo < x < hi < math.inf:
+            fault = "leaves the float range" if math.inf in (-lo, hi) else "is lost in the rounding of its center"
+            point = ", ".join(map(str, c.tolist()))
+            raise ValueError(f"the {spec.name} ball of radius {radius} around ({point}) {fault}")
     return BoundaryPolyline(spec.name, c, radius, c + offsets(radius, n))

@@ -8,6 +8,7 @@ contract everywhere: 0 success / all checks pass, 1 a certification failed
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 import numpy as np
@@ -294,5 +295,24 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """Process entry of ``python -m metrikos`` and the ``metrikos`` script:
+    ``main`` on ``sys.argv``, with the collector's tracked objects frozen
+    before it and again after it.
+
+    What the imports built and what the command built live until the
+    process exits, which frees them all anyway. Frozen, no collection pass
+    traverses them: not the passes during the command, which still collect
+    the objects made after the first freeze, and not the interpreter's last
+    one at exit. ``main`` sets nothing for the process, so in-process
+    callers keep their collector as it was.
+    """
+    gc.freeze()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -37,14 +37,17 @@ class Viewport:
 
     @classmethod
     def fit(cls, xmin, xmax, ymin, ymax, width: float, height: float) -> "Viewport":
-        span_x = max(xmax - xmin, 1e-30)
-        span_y = max(ymax - ymin, 1e-30)
+        # half spans and midpoints from halved bounds: no sum or difference
+        # of two finite bounds overflows, and halving is exact, so the scale
+        # and shifts are those of the whole spans wherever those are finite
+        half_x = max(0.5 * xmax - 0.5 * xmin, 0.5e-30)
+        half_y = max(0.5 * ymax - 0.5 * ymin, 0.5e-30)
         usable_w = width * (1.0 - 2.0 * MARGIN_FRACTION)
         usable_h = height * (1.0 - 2.0 * MARGIN_FRACTION)
-        scale = min(usable_w / span_x, usable_h / span_y)
+        scale = min(0.5 * usable_w / half_x, 0.5 * usable_h / half_y)
         # center the content in the viewport
-        x_shift = 0.5 * width - scale * 0.5 * (xmin + xmax)
-        y_shift = 0.5 * height + scale * 0.5 * (ymin + ymax)
+        x_shift = 0.5 * width - scale * (0.5 * xmin + 0.5 * xmax)
+        y_shift = 0.5 * height + scale * (0.5 * ymin + 0.5 * ymax)
         return cls(scale=scale, x_shift=x_shift, y_shift=y_shift)
 
     def map(self, p) -> tuple[float, float]:

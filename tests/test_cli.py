@@ -1,5 +1,6 @@
 """Black-box CLI tests: exit-code contract, output formats, determinism."""
 
+import gc
 import json
 import subprocess
 import sys
@@ -411,6 +412,34 @@ class TestBallSvg:
                 assert cli.main(["ball-svg", "--metric", metric, *args, "--out", str(out)]) == 0, (metric, args)
                 assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (["--metric", "taxicab", "--radius", "2048", "--center", "0,1e308"],
+             "error: the taxicab ball of radius 2048.0 around (0.0, 1e+308) is lost in the rounding of its center\n"),
+            (["--metric", "taxicab", "--radius", "1e308", "--center", "0,10"], None),
+            (["--metric", "euclidean", "--radius", "1e308", "--center", "1e308,0"],
+             "error: the euclidean ball of radius 1e+308 around (1e+308, 0.0) leaves the float range\n"),
+        ],
+        ids=["radius-below-the-center", "span-past-float", "boundary-past-float"],
+    )
+    def test_balls_near_the_top_of_the_float_range(self, tmp_path, capsys, args, error):
+        # these drew y = inf, drew every vertex at (256, 256), and printed
+        # numpy's repr of an infinite sample, each after a RuntimeWarning
+        out = tmp_path / "x.svg"
+        rc = cli.main(["ball-svg", *args, "--out", str(out)])
+        if error is not None:
+            assert (rc, capsys.readouterr().err) == (2, error)
+            assert not out.exists()
+            return
+        assert rc == 0 and capsys.readouterr().err == ""
+        xml = out.read_text()
+        assert "inf" not in xml and "nan" not in xml  # how a number that is not finite prints
+        polygon = ET.fromstring(xml).find("{http://www.w3.org/2000/svg}polygon").get("points")
+        P = np.array([xy.split(",") for xy in polygon.split()], dtype=float)
+        # a diamond spans the usable box, 10% in from each edge, on both axes
+        assert P.min(axis=0).tolist() == [51.2, 51.2] and P.max(axis=0).tolist() == [460.8, 460.8]
+
     def test_samples_out_of_range_are_refused_before_tracing(self, monkeypatch, capsys, tmp_path):
         def refuse(*args, **kwargs):
             raise AssertionError("traced a boundary out of range")
@@ -534,3 +563,40 @@ class TestGrid:
         res = run_cli("grid", "100000", "100000", "--from", "0,0", "--to", "1,1")
         assert res.returncode == 2 and res.stderr.startswith(b"error: ")
         assert f"width * height <= {cli.MAX_GRID_VERTICES}" in run_cli("grid", "--help").stdout.decode()
+
+
+class TestProcessEntry:
+    def test_main_leaves_the_collector_as_it_was(self):
+        # only the process entry, run(), freezes the collector
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert cli.main(["dist", "--metric", "euclidean", "-p", "0,0", "-q", "1,1"]) == 0
+        assert cli.main(["dist", "--metric", "nope", "-p", "0", "-q", "1"]) == 2
+        with pytest.raises(SystemExit):
+            cli.main(["dist"])
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["dist", "--metric", "euclidean", "-p", "0,0", "-q", "1,1"], 0),
+            (["check", "--matrix", "{asym}"], 1),
+            (["dist", "--metric", "euclidean", "-p", "0,0"], 2),
+            (["dist", "--metric", "euclidean", "-p", "0,0", "-q", "1,x"], 2),
+        ],
+        ids=["dist", "asym-check", "usage-error", "input-error"],
+    )
+    def test_run_exits_and_prints_as_main_does(self, tmp_path, argv, code):
+        asym = tmp_path / "asym.csv"
+        asym.write_text("0,1,5,1\n1,0,1,2\n4,1,0,1\n1,2,1,0\n")
+        argv = [a.format(asym=asym) for a in argv]
+        # the installed script's form, python -m metrikos, and main alone
+        entries = (
+            [sys.executable, "-c", "import sys; from metrikos.cli import run; sys.exit(run())"],
+            [sys.executable, "-m", "metrikos"],
+            [sys.executable, "-c", "import sys; from metrikos.cli import main; sys.exit(main())"],
+        )
+        results = [subprocess.run([*entry, *argv], capture_output=True) for entry in entries]
+        for res in results:
+            assert res.returncode == code, res.stderr
+            assert (res.stdout, res.stderr) == (results[-1].stdout, results[-1].stderr)
+        assert bool(results[-1].stdout) == (code < 2) and bool(results[-1].stderr) == (code == 2)
