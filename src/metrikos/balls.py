@@ -9,12 +9,12 @@ open interval (p - r, p + r).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .core import Chebyshev, Euclidean, MetricSpec, Taxicab
+from .frozen import Frozen
 from .points import as_integer, as_point, as_points, finite_radius
 
 BOUNDARY_TOL = 1e-9
@@ -26,17 +26,21 @@ MIN_BOUNDARY_SAMPLES = 8
 DEFAULT_BOUNDARY_SAMPLES = 256
 
 
-@dataclass(frozen=True, eq=False)
-class Ball:
-    """Open ball: all carrier points at distance < radius from the center; the radius is positive and finite."""
+class Ball(Frozen):
+    """Open ball: all carrier points at distance < radius from the center.
 
-    metric: MetricSpec
-    center: object
-    radius: float
+    The radius is read first, by ``finite_radius``, and then the center, by
+    the metric's ``validate_point``.
 
-    def __post_init__(self):
-        object.__setattr__(self, "radius", finite_radius(self.radius))
-        object.__setattr__(self, "center", self.metric.validate_point(self.center))
+    >>> Ball(Euclidean(), (0, 0), 1)
+    Ball(metric=Euclidean(), center=array([0., 0.]), radius=1.0)
+    """
+
+    __match_args__ = ("metric", "center", "radius")
+
+    def __init__(self, metric: MetricSpec, center, radius: float):
+        radius = finite_radius(radius)
+        vars(self).update(metric=metric, center=metric.validate_point(center), radius=radius)
 
     def __contains__(self, x) -> bool:
         return ball_contains(self, x)
@@ -130,8 +134,7 @@ _SHAPES = {spec.name: (spec, offsets) for spec, offsets in (
 )}
 
 
-@dataclass(frozen=True, eq=False)
-class BoundaryPolyline:
+class BoundaryPolyline(Frozen):
     """Ordered samples tracing {x : d(center, x) = radius} for a plane metric.
 
     Every sample's distance to the center is checked against the radius at
@@ -140,25 +143,21 @@ class BoundaryPolyline:
     larger: the samples are rounded at that scale.
     """
 
-    metric_tag: str
-    center: np.ndarray
-    radius: float
-    samples: np.ndarray
+    __match_args__ = ("metric_tag", "center", "radius", "samples")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_point(self.center, dim=2))
-        object.__setattr__(self, "radius", float(self.radius))
-        samples = as_points(self.samples, dim=2)
-        spec, _ = _SHAPES[self.metric_tag]
-        d = spec._cross(self.center[None, :], samples)[0]
-        scale = max(float(np.abs(self.center).max()), abs(self.radius))
+    def __init__(self, metric_tag: str, center: np.ndarray, radius: float, samples: np.ndarray):
+        center, radius = as_point(center, dim=2), float(radius)
+        samples = as_points(samples, dim=2)
+        spec, _ = _SHAPES[metric_tag]
+        d = spec._cross(center[None, :], samples)[0]
+        scale = max(float(np.abs(center).max()), abs(radius))
         tol = max(BOUNDARY_TOL, _BOUNDARY_ROUNDING_UNITS * math.ulp(1.0) * scale)  # eps first: no overflow
-        off = np.abs(d - self.radius) > tol
+        off = np.abs(d - radius) > tol
         if off.any():
             k = np.argmax(off)
-            raise ValueError(f"boundary sample {samples[k]} is at distance {d[k]}, expected {self.radius}")
+            raise ValueError(f"boundary sample {samples[k]} is at distance {d[k]}, expected {radius}")
         samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
+        vars(self).update(metric_tag=metric_tag, center=center, radius=radius, samples=samples)
 
 
 def ball_boundary(metric: MetricSpec, center, radius: float, n: int = DEFAULT_BOUNDARY_SAMPLES) -> BoundaryPolyline:

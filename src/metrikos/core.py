@@ -18,13 +18,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import sphere
 from .errors import CarrierError
+from .frozen import Frozen, field_repr
 from .graphs import Polyline, WeightedGraph, no_path_error
 from .points import _point_floats, as_index, as_indices, as_point, as_points, hypot_rows, point_keys, same_dim
 
@@ -56,31 +56,40 @@ def _by_row_blocks(X, Y, block) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
+def _slack(name: str, value) -> float:
+    """A ToleranceConfig field as a float, or ValueError naming it."""
+    if not isinstance(value, float) and isinstance(value, (bool, np.bool_, str, bytes)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    # a NaN slack fails every compare, so it would pass any input, and an
+    # infinite abs_tol would flag every distinct pair as too close
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+    return float(value)
+
+
+class ToleranceConfig(Frozen):
     """Absolute and relative slack used by certifiers.
 
     The triangle check allows abs_tol + rel_tol * (largest distance in the
     triple) of slack so that exact-real theorems survive floating-point
-    rounding; the zero-distance test uses abs_tol alone.
+    rounding; the zero-distance test uses abs_tol alone. Each is stored as a
+    finite, nonnegative float; a bool, a string or bytes is refused.
+
+    >>> ToleranceConfig()
+    ToleranceConfig(abs_tol=1e-09, rel_tol=1e-12)
     """
 
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-12
+    __match_args__ = ("abs_tol", "rel_tol")
+    _by_value = True
 
-    def __post_init__(self):
-        # a NaN slack fails every compare, so it would pass any input, and an
-        # infinite abs_tol would flag every distinct pair as too close
-        for name in ("abs_tol", "rel_tol"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative, got {getattr(self, name)!r}")
+    def __init__(self, abs_tol: float = 1e-9, rel_tol: float = 1e-12):
+        vars(self).update(abs_tol=_slack("abs_tol", abs_tol), rel_tol=_slack("rel_tol", rel_tol))
 
 
 DEFAULT_TOL = ToleranceConfig()
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
+class DistanceMatrix(Frozen):
     """Square matrix of candidate distances with optional row labels.
 
     Finiteness and squareness are enforced here; symmetry and the zero
@@ -88,15 +97,14 @@ class DistanceMatrix:
     candidates can be ingested and diagnosed).
     """
 
-    values: np.ndarray
-    labels: tuple[str, ...] | None = None
+    __match_args__ = ("values", "labels")
 
-    def __post_init__(self):
+    def __init__(self, values: np.ndarray, labels: tuple[str, ...] | None = None):
         try:
-            v = np.array(self.values, dtype=float)
+            v = np.array(values, dtype=float)
         except ValueError:
             try:  # a string entry float() cannot read raises its own error here
-                [[float(x) for x in row] for row in self.values]
+                [[float(x) for x in row] for row in values]
             except TypeError:  # a sequence where a number belongs
                 raise ValueError("distance matrix entries must be numbers") from None
             raise ValueError("distance matrix must be square, got rows of different lengths") from None
@@ -105,12 +113,11 @@ class DistanceMatrix:
         if not np.all(np.isfinite(v)):
             raise ValueError("distance matrix entries must be finite")
         v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
+        if labels is not None:
+            labels = tuple(str(x) for x in labels)
             if len(labels) != v.shape[0]:
                 raise ValueError("label count must match matrix size")
-            object.__setattr__(self, "labels", labels)
+        vars(self).update(values=v, labels=labels)
 
     @property
     def n(self) -> int:
@@ -169,7 +176,7 @@ class MetricSpec:
         return out
 
 
-class _Coordinates(MetricSpec):
+class _Coordinates(MetricSpec, Frozen):
     """Points of R^d, validated to the rows of one float64 array.
 
     ``dim`` fixes the number of coordinates (None: any, one per sample);
@@ -192,8 +199,12 @@ class _Coordinates(MetricSpec):
     an inf would pass every axiom compare (inf > inf is false). ``_eval``
     and ``_distance`` check their float, and ``_cross`` its whole table at
     once.
+
+    Each coordinate metric is a frozen record with no fields, so any two of
+    one class are equal.
     """
 
+    _by_value = True
     dim = None
 
     def validate_point(self, x):
@@ -257,8 +268,13 @@ class _Coordinates(MetricSpec):
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Euclidean(_Coordinates):
+    """Straight-line distance, the hypot of the coordinate differences.
+
+    >>> Euclidean()
+    Euclidean()
+    """
+
     name = "euclidean"
 
     def _pair(self, xs, ys):
@@ -268,7 +284,6 @@ class Euclidean(_Coordinates):
         return hypot_rows(planes.reshape(len(planes), -1).T).reshape(planes.shape[1:])
 
 
-@dataclass(frozen=True)
 class Taxicab(_Coordinates):
     """Sum of absolute coordinate differences, added left to right.
 
@@ -295,7 +310,6 @@ class Taxicab(_Coordinates):
         return functools.reduce(np.add, np.abs(planes, out=planes))  # left to right, as _pair adds
 
 
-@dataclass(frozen=True)
 class Chebyshev(_Coordinates):
     name = "chebyshev"
 
@@ -306,7 +320,6 @@ class Chebyshev(_Coordinates):
         return functools.reduce(np.maximum, np.abs(planes, out=planes))  # np.maximum.reduce is slower
 
 
-@dataclass(frozen=True)
 class Discrete(_Coordinates):
     name = "discrete"
 
@@ -319,7 +332,6 @@ class Discrete(_Coordinates):
         return (planes != 0).any(0).astype(float)
 
 
-@dataclass(frozen=True)
 class RealLine(_Coordinates):
     name = "realline"
     dim = 1
@@ -331,10 +343,11 @@ class RealLine(_Coordinates):
         return np.abs(planes[0])
 
 
-@dataclass(frozen=True)
-class GreatCircle(MetricSpec):
-    """Shorter great-circle arc length on the unit sphere."""
+class GreatCircle(MetricSpec, Frozen):
+    """Shorter great-circle arc length on the unit sphere; a frozen record
+    with no fields, as the coordinate metrics are."""
 
+    _by_value = True
     name = "greatcircle"
 
     def validate_point(self, x):
@@ -350,7 +363,7 @@ class GreatCircle(MetricSpec):
         return _by_row_blocks(X, Y, lambda Xb, Y: sphere.arc_lengths(Xb[:, None, :], Y[None, :, :]))
 
 
-class _Indices(MetricSpec):
+class _Indices(MetricSpec, Frozen):
     """Points are the integer indices 0..size-1 of a finite carrier (graph
     vertices, polyline vertices, matrix rows), validated to Python ints.
 
@@ -370,7 +383,6 @@ class _Indices(MetricSpec):
         return as_indices(points, self.size, self.what)
 
 
-@dataclass(frozen=True, eq=False)
 class GraphPath(_Indices):
     """Shortest-path metric over the vertices of a weighted graph.
 
@@ -379,9 +391,12 @@ class GraphPath(_Indices):
     d(u, v) and d(v, u) are the same float.
     """
 
-    graph: WeightedGraph
+    __match_args__ = ("graph",)
     name = "graphpath"
     what = "vertex id"
+
+    def __init__(self, graph: WeightedGraph):
+        vars(self).update(graph=graph)
 
     @property
     def size(self):
@@ -418,13 +433,15 @@ class GraphPath(_Indices):
         return out
 
 
-@dataclass(frozen=True, eq=False)
 class PolylineArc(_Indices):
     """Arc-length metric over the vertices of a polyline."""
 
-    polyline: Polyline
+    __match_args__ = ("polyline",)
     name = "polylinearc"
     what = "vertex index"
+
+    def __init__(self, polyline: Polyline):
+        vars(self).update(polyline=polyline)
 
     @property
     def size(self):
@@ -442,13 +459,14 @@ class PolylineArc(_Indices):
         return np.abs(out, out=out)
 
 
-@dataclass(frozen=True, eq=False)
-class Subspace(MetricSpec):
+class Subspace(MetricSpec, Frozen):
     """A base metric restricted to an explicit allowed point set."""
 
-    base: MetricSpec
-    allowed: frozenset
+    __match_args__ = ("base", "allowed")
     name = "subspace"
+
+    def __init__(self, base: MetricSpec, allowed: frozenset):
+        vars(self).update(base=base, allowed=allowed)
 
     def validate_point(self, x):
         return self.validate_many([x])[0]
@@ -466,7 +484,6 @@ class Subspace(MetricSpec):
         return self.base._cross(X, Y)
 
 
-@dataclass(frozen=True, eq=False)
 class MatrixMetric(_Indices):
     """Candidate metric given extensionally by a distance matrix.
 
@@ -474,8 +491,11 @@ class MatrixMetric(_Indices):
     on trust beyond finiteness, so run ``verify_axioms`` to certify it.
     """
 
-    matrix: DistanceMatrix
+    __match_args__ = ("matrix",)
     name = "matrix"
+
+    def __init__(self, matrix: DistanceMatrix):
+        vars(self).update(matrix=matrix)
 
     @property
     def size(self):
@@ -523,18 +543,25 @@ def _verdict(axiom: str) -> property:
     return property(lambda self: not self.for_axiom(axiom), doc=f"True when no {axiom} witness was found.")
 
 
-@dataclass
 class AxiomReport:
     """Explicit violating witnesses, and per-axiom verdicts read from them.
 
     An axiom passes exactly when it has no witness: ``verify_axioms``
     reports at least one witness for every axiom that fails. Witness indices
     point into the certified sample; re-evaluating the distances they name
-    reproduces the reported lhs/rhs values.
+    reproduces the reported lhs/rhs values. Reports compare by their
+    witness lists and are not hashable.
     """
 
-    witnesses: list[Witness] = field(default_factory=list)
+    __match_args__ = ("witnesses",)
+    __repr__ = field_repr
     symmetry_ok, nonnegativity_ok, identity_ok, triangle_ok = map(_verdict, AXIOMS)
+
+    def __init__(self, witnesses: list[Witness] | None = None):
+        self.witnesses = [] if witnesses is None else witnesses
+
+    def __eq__(self, other):
+        return self.witnesses == other.witnesses if type(other) is type(self) else NotImplemented
 
     @property
     def all_ok(self) -> bool:

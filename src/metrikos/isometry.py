@@ -11,12 +11,12 @@ distance the map fails to preserve: evidence over a sample, not a proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .core import DEFAULT_TOL, MetricSpec, ToleranceConfig, row_blocks
+from .frozen import Frozen
 from .points import as_point, as_points
 from .sphere import sphere_point
 
@@ -34,17 +34,14 @@ def _entries(values, shape: tuple, usage: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class PlaneMap:
+class PlaneMap(Frozen):
     """Affine map of the plane: x -> linear @ x + offset."""
 
-    linear: np.ndarray
-    offset: np.ndarray
+    __match_args__ = ("linear", "offset")
 
-    def __post_init__(self):
+    def __init__(self, linear: np.ndarray, offset: np.ndarray):
         usage = "plane map needs a 2x2 linear part and a 2-vector offset"
-        object.__setattr__(self, "linear", _entries(self.linear, (2, 2), usage))
-        object.__setattr__(self, "offset", _entries(self.offset, (2,), usage))
+        vars(self).update(linear=_entries(linear, (2, 2), usage), offset=_entries(offset, (2,), usage))
 
     def _images(self, P: np.ndarray) -> np.ndarray:
         (a, b), (c, d) = self.linear.tolist()
@@ -56,20 +53,19 @@ class PlaneMap:
         return PlaneMap(self.linear @ g.linear, self.linear @ g.offset + self.offset)
 
 
-@dataclass(frozen=True, eq=False)
-class SphereMap:
+class SphereMap(Frozen):
     """Linear map of 3-space required to be orthogonal (within 1e-9
     entrywise on linear.T @ linear - I), so it carries the unit sphere to
     itself: rotations and reflections about the center."""
 
-    linear: np.ndarray
+    __match_args__ = ("linear",)
 
-    def __post_init__(self):
-        lin = _entries(self.linear, (3, 3), "sphere map needs a 3x3 matrix")
+    def __init__(self, linear: np.ndarray):
+        lin = _entries(linear, (3, 3), "sphere map needs a 3x3 matrix")
         err = np.abs(lin.T @ lin - np.eye(3)).max()
         if err > ORTHOGONALITY_TOL:
             raise ValueError(f"matrix is not orthogonal: max |A^T A - I| entry = {err:g}")
-        object.__setattr__(self, "linear", lin)
+        vars(self).update(linear=lin)
 
     def _images(self, P: np.ndarray) -> np.ndarray:
         (a, b, c), (d, e, f), (g, h, i) = self.linear.tolist()

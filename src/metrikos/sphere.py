@@ -16,11 +16,11 @@ to reduce the spherical triangle inequality to a single great circle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CarrierError, DegenerateGeometryError
+from .frozen import Frozen
 from .points import as_point, as_points, finite_radius, hypot_rows, same_shape_rows
 
 # Construction accepts vectors this far from unit norm and renormalizes them.
@@ -48,37 +48,30 @@ def unit_norm(v) -> float:
     return n
 
 
-@dataclass(frozen=True)
-class Circle2D:
+class Circle2D(Frozen):
     """A circle in the plane, given by center and positive finite radius."""
 
-    center: np.ndarray
-    radius: float
+    __match_args__ = ("center", "radius")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_point(self.center, dim=2))
-        object.__setattr__(self, "radius", finite_radius(self.radius))
+    def __init__(self, center: np.ndarray, radius: float):
+        vars(self).update(center=as_point(center, dim=2), radius=finite_radius(radius))
 
 
-@dataclass(frozen=True)
-class Circle3D:
+class Circle3D(Frozen):
     """A circle in 3-space: center, positive finite radius, and unit plane normal.
 
     The normal is renormalized at construction; a zero normal is rejected.
     """
 
-    center: np.ndarray
-    radius: float
-    normal: np.ndarray
+    __match_args__ = ("center", "radius", "normal")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_point(self.center, dim=3))
-        object.__setattr__(self, "radius", finite_radius(self.radius))
-        n = as_point(self.normal, dim=3)
+    def __init__(self, center: np.ndarray, radius: float, normal: np.ndarray):
+        center, radius = as_point(center, dim=3), finite_radius(radius)
+        n = as_point(normal, dim=3)
         norm = math.hypot(*n)
         if norm == 0.0:
             raise ValueError("circle normal must be nonzero")
-        object.__setattr__(self, "normal", n / norm)
+        vars(self).update(center=center, radius=radius, normal=n / norm)
 
 
 def sphere_points(P) -> np.ndarray:

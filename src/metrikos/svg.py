@@ -12,11 +12,10 @@ byte-identical files. A polygon's text is one ``%`` format over its whole
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .balls import BoundaryPolyline
+from .frozen import Frozen, field_repr
 from .points import as_point
 
 MARGIN_FRACTION = 0.1
@@ -27,13 +26,14 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-@dataclass(frozen=True)
-class Viewport:
+class Viewport(Frozen):
     """Affine data-to-pixel map with uniform scale and flipped y-axis."""
 
-    scale: float
-    x_shift: float
-    y_shift: float
+    __match_args__ = ("scale", "x_shift", "y_shift")
+    _by_value = True
+
+    def __init__(self, scale: float, x_shift: float, y_shift: float):
+        vars(self).update(scale=scale, x_shift=x_shift, y_shift=y_shift)
 
     @classmethod
     def fit(cls, xmin, xmax, ymin, ymax, width: float, height: float) -> "Viewport":
@@ -59,12 +59,19 @@ class Viewport:
         return np.column_stack([self.scale * P[:, 0] + self.x_shift, -self.scale * P[:, 1] + self.y_shift])
 
 
-@dataclass
 class SvgScene:
     """An SVG document of FIGURE_SIZE pixels a side, assembled from
-    polygons, cross markers and labels in one fixed style."""
+    polygons, cross markers and labels in one fixed style. Scenes compare
+    by their element lists and are not hashable."""
 
-    elements: list[str] = field(default_factory=list)
+    __match_args__ = ("elements",)
+    __repr__ = field_repr
+
+    def __init__(self, elements: list[str] | None = None):
+        self.elements = [] if elements is None else elements
+
+    def __eq__(self, other):
+        return self.elements == other.elements if type(other) is type(self) else NotImplemented
 
     def add_polygon(self, pixel_points):
         # one format over the (n, 2) array: "%.2f" rounds as _fmt does

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -1017,3 +1018,16 @@ class TestToleranceConfig:
         for field in ("abs_tol", "rel_tol"):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 mk.ToleranceConfig(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [True, False, np.True_, "1e-9", b"1e-9"], ids=repr)
+    def test_bools_strings_and_bytes_refused(self, bad):
+        # as finite_radius refuses them for a radius: True is no slack of 1
+        for field in ("abs_tol", "rel_tol"):
+            with pytest.raises(ValueError, match=f"^{field} must be a number, got {re.escape(repr(bad))}$"):
+                mk.ToleranceConfig(**{field: bad})
+
+    def test_fields_are_stored_as_floats(self):
+        for tol in (*TOLERANCES, mk.ToleranceConfig(0, 1), mk.ToleranceConfig(np.float32(0.5), Fraction(1, 4))):
+            assert type(tol.abs_tol) is float and type(tol.rel_tol) is float
+        assert repr(mk.ToleranceConfig(0, 1)) == "ToleranceConfig(abs_tol=0.0, rel_tol=1.0)"
+        assert mk.ToleranceConfig(np.float32(0.5), Fraction(1, 4)) == mk.ToleranceConfig(0.5, 0.25)
