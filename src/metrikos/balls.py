@@ -137,20 +137,23 @@ _SHAPES = {spec.name: (spec, offsets) for spec, offsets in (
 class BoundaryPolyline(Frozen):
     """Ordered samples tracing {x : d(center, x) = radius} for a plane metric.
 
-    Every sample's distance to the center is checked against the radius at
-    construction. The tolerance is BOUNDARY_TOL, or 8 units of rounding of
-    the largest of the radius and the center's coordinates when that is
-    larger: the samples are rounded at that scale.
+    The radius is read by ``finite_radius``, and every sample's distance to
+    the center is checked against it at construction. The tolerance is
+    BOUNDARY_TOL, or 8 units of rounding of the largest of the radius and
+    the center's coordinates when that is larger: the samples are rounded
+    at that scale. An unknown ``metric_tag`` is a ValueError.
     """
 
     __match_args__ = ("metric_tag", "center", "radius", "samples")
 
     def __init__(self, metric_tag: str, center: np.ndarray, radius: float, samples: np.ndarray):
-        center, radius = as_point(center, dim=2), float(radius)
+        center, radius = as_point(center, dim=2), finite_radius(radius)
         samples = as_points(samples, dim=2)
-        spec, _ = _SHAPES[metric_tag]
+        spec, _ = _SHAPES.get(metric_tag, (None, None))
+        if spec is None:
+            raise ValueError(f"unknown metric tag {metric_tag!r}; expected one of {sorted(_SHAPES)}")
         d = spec._cross(center[None, :], samples)[0]
-        scale = max(float(np.abs(center).max()), abs(radius))
+        scale = max(float(np.abs(center).max()), radius)
         tol = max(BOUNDARY_TOL, _BOUNDARY_ROUNDING_UNITS * math.ulp(1.0) * scale)  # eps first: no overflow
         off = np.abs(d - radius) > tol
         if off.any():

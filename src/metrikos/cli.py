@@ -34,6 +34,7 @@ from .core import (
 )
 from .graphs import count_geodesics, grid_graph, grid_vertex, shortest_path_distance
 from .isometry import SphereMap, is_isometry, named_map
+from .points import as_table
 from .svg import ball_figure
 
 MAX_PRINTED_WITNESSES = 10
@@ -85,17 +86,13 @@ def _parse_cli_point(spec: MetricSpec, text: str):
     return [float(c) for c in text.split(",")]
 
 
-def _tolerances(args) -> ToleranceConfig:
-    return ToleranceConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
-
-
 def _load_sample(spec: MetricSpec, args) -> list:
     """The sample to certify, refused past MAX_RANDOM_POINTS points whatever
     its source, before any distance table is built."""
     if args.matrix:
         source, sample = f"--matrix {args.matrix}", list(range(spec.matrix.n))
     elif args.points:
-        source, sample = f"--points {args.points}", fileio.load_points(args.points)[1]
+        source, sample = f"--points {args.points}", fileio.load_points(args.points)
     elif args.random is not None:
         if not 0 < args.random <= MAX_RANDOM_POINTS:
             raise ValueError(f"--random takes 1 to {MAX_RANDOM_POINTS} points, got {args.random}")
@@ -121,28 +118,17 @@ def _print_report(report: AxiomReport) -> None:
     print(f"RESULT {'PASS' if report.all_ok else 'FAIL'}")
 
 
-def _map_field(data: dict, key: str, shape: tuple, usage: str) -> np.ndarray:
-    """The numbers under ``key`` as an array of ``shape``, or ValueError."""
-    try:
-        arr = np.array(data[key], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError):  # OverflowError: a JSON int past the float range
-        arr = None
-    if arr is None or arr.shape != shape:
-        raise ValueError(f"{data['map']} needs {usage}")
-    return arr
-
-
 def _map_from_json(text: str):
     data = fileio.parse_json(text, "--map")
     if not isinstance(data, dict) or not isinstance(data.get("map"), str):
         raise ValueError('map JSON must be an object with a "map" tag')
     tag = data["map"]
     if tag == "orthogonal":
-        return SphereMap(_map_field(data, "matrix", (3, 3), '"matrix": a 3x3 array'))
+        return SphereMap(as_table(data.get("matrix"), (3, 3), 'orthogonal needs "matrix": a 3x3 array'))
     if tag in ("translation", "reflect_about_point"):
-        return named_map(tag, *_map_field(data, "a", (2,), '"a": [a1, a2]').tolist())
+        return named_map(tag, *as_table(data.get("a"), (2,), f'{tag} needs "a": [a1, a2]').tolist())
     if tag == "rotation":
-        return named_map(tag, float(_map_field(data, "theta", (), '"theta": a number')))
+        return named_map(tag, float(as_table(data.get("theta"), (), 'rotation needs "theta": a number')))
     return named_map(tag)
 
 
@@ -157,7 +143,7 @@ def cmd_dist(args) -> int:
 def cmd_check(args) -> int:
     spec = _resolve_metric(args)
     sample = _load_sample(spec, args)
-    report = verify_axioms(spec, sample, _tolerances(args))
+    report = verify_axioms(spec, sample, ToleranceConfig(args.abs_tol, args.rel_tol))
     _print_report(report)
     return 0 if report.all_ok else 1
 
@@ -178,7 +164,7 @@ def cmd_isometry(args) -> int:
     spec = _resolve_metric(args)
     the_map = _map_from_json(args.map)
     sample = _load_sample(spec, args)
-    ok, witness = is_isometry(the_map, spec, sample, _tolerances(args))
+    ok, witness = is_isometry(the_map, spec, sample, ToleranceConfig(args.abs_tol, args.rel_tol))
     if ok:
         print("ISOMETRY")
         return 0
@@ -312,7 +298,3 @@ def run() -> int:
         return main()
     finally:
         gc.freeze()
-
-
-if __name__ == "__main__":
-    sys.exit(run())

@@ -26,7 +26,7 @@ from . import sphere
 from .errors import CarrierError
 from .frozen import Frozen, field_repr
 from .graphs import Polyline, WeightedGraph, no_path_error
-from .points import _point_floats, as_index, as_indices, as_point, as_points, hypot_rows, point_keys, same_dim
+from .points import _point_floats, as_index, as_indices, as_number, as_point, as_points, hypot_rows, point_keys, same_dim
 
 # Certification keeps at most this many witnesses per axiom, in lexicographic
 # index order, to bound report size on badly broken inputs.
@@ -56,24 +56,13 @@ def _by_row_blocks(X, Y, block) -> np.ndarray:
     return out
 
 
-def _slack(name: str, value) -> float:
-    """A ToleranceConfig field as a float, or ValueError naming it."""
-    if not isinstance(value, float) and isinstance(value, (bool, np.bool_, str, bytes)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    # a NaN slack fails every compare, so it would pass any input, and an
-    # infinite abs_tol would flag every distinct pair as too close
-    if not 0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-    return float(value)
-
-
 class ToleranceConfig(Frozen):
     """Absolute and relative slack used by certifiers.
 
     The triangle check allows abs_tol + rel_tol * (largest distance in the
     triple) of slack so that exact-real theorems survive floating-point
-    rounding; the zero-distance test uses abs_tol alone. Each is stored as a
-    finite, nonnegative float; a bool, a string or bytes is refused.
+    rounding; the zero-distance test uses abs_tol alone. Each is read by
+    ``as_number`` and stored as a finite, nonnegative float.
 
     >>> ToleranceConfig()
     ToleranceConfig(abs_tol=1e-09, rel_tol=1e-12)
@@ -83,7 +72,12 @@ class ToleranceConfig(Frozen):
     _by_value = True
 
     def __init__(self, abs_tol: float = 1e-9, rel_tol: float = 1e-12):
-        vars(self).update(abs_tol=_slack("abs_tol", abs_tol), rel_tol=_slack("rel_tol", rel_tol))
+        for name, given in (("abs_tol", abs_tol), ("rel_tol", rel_tol)):
+            # a NaN slack fails every compare, so it would pass any input, and
+            # an infinite abs_tol would flag every distinct pair as too close
+            if not 0 <= (value := as_number(given, name)) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {given!r}")
+            vars(self)[name] = value
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -53,20 +53,25 @@ def parse_json(text: str, source) -> object:
         raise ValueError(f"{source}: JSON nested too deeply to parse") from None
 
 
-def load_points(path) -> tuple[int, np.ndarray]:
-    """Read a point-set JSON file; returns (dim, points), an (n, dim) array.
-    A file past MAX_POINTS_FILE_BYTES bytes is refused before it is parsed."""
+def _read_json(path, kind: str, cap: int) -> object:
+    """The parsed JSON of a file, refused before it is parsed past ``cap`` bytes."""
     with open(path) as f:
         size = os.fstat(f.fileno()).st_size
-        if size > MAX_POINTS_FILE_BYTES:
-            raise ValueError(f"{path}: a point file of {size} bytes is past the cap of {MAX_POINTS_FILE_BYTES} bytes")
-        data = parse_json(f.read(), path)
+        if size > cap:
+            raise ValueError(f"{path}: a {kind} file of {size} bytes is past the cap of {cap} bytes")
+        return parse_json(f.read(), path)
+
+
+def load_points(path) -> np.ndarray:
+    """Read a point-set JSON file into an (n, dim) float array. A file past
+    MAX_POINTS_FILE_BYTES bytes is refused before it is parsed."""
+    data = _read_json(path, "point", MAX_POINTS_FILE_BYTES)
     if not isinstance(data, dict) or "dim" not in data or not isinstance(data.get("points"), list):
         raise ValueError(f"{path}: expected an object with 'dim' and a 'points' list")
     dim = as_integer(data["dim"], f"{path}: dim")
     if dim < 1:
         raise ValueError(f"{path}: dim must be a positive integer")
-    return dim, as_points(data["points"], dim=dim)
+    return as_points(data["points"], dim=dim)
 
 
 def dump_points(path, points) -> None:
@@ -82,11 +87,7 @@ def load_graph(path) -> WeightedGraph:
     edge lists as they are. A file past MAX_GRAPH_FILE_BYTES bytes is
     refused before it is parsed, and one past MAX_GRAPH_VERTICES vertices
     or MAX_GRAPH_EDGES edges before the graph is built."""
-    with open(path) as f:
-        size = os.fstat(f.fileno()).st_size
-        if size > MAX_GRAPH_FILE_BYTES:
-            raise ValueError(f"{path}: a graph file of {size} bytes is past the cap of {MAX_GRAPH_FILE_BYTES} bytes")
-        data = parse_json(f.read(), path)
+    data = _read_json(path, "graph", MAX_GRAPH_FILE_BYTES)
     edges = data.get("edges") if isinstance(data, dict) else None
     if not (isinstance(edges, list) and "vertices" in data):
         raise ValueError(f"{path}: expected an object with 'vertices' and an 'edges' list of [u, v, length] lists")

@@ -17,17 +17,15 @@ import numpy as np
 
 from .core import DEFAULT_TOL, MetricSpec, ToleranceConfig, row_blocks
 from .frozen import Frozen
-from .points import as_point, as_points
+from .points import as_number, as_point, as_points, as_table
 from .sphere import sphere_point
 
 ORTHOGONALITY_TOL = 1e-9
 
 
 def _entries(values, shape: tuple, usage: str) -> np.ndarray:
-    """``values`` as a read-only float array of ``shape``, or ValueError."""
-    arr = np.array(values, dtype=float)
-    if arr.shape != shape:
-        raise ValueError(usage)
+    """``values`` as a read-only float array of ``shape``, read by ``as_table``, or ValueError."""
+    arr = as_table(values, shape, usage)
     if not np.all(np.isfinite(arr)):
         raise ValueError("map entries must be finite")
     arr.setflags(write=False)
@@ -82,7 +80,7 @@ def identity_map() -> PlaneMap:
 
 def translation(a1: float, a2: float) -> PlaneMap:
     """(x1, x2) -> (x1 + a1, x2 + a2)."""
-    return PlaneMap(np.eye(2), (a1, a2))
+    return PlaneMap(np.eye(2), (as_number(a1, "a1"), as_number(a2, "a2")))
 
 
 def reflect_origin() -> PlaneMap:
@@ -106,8 +104,8 @@ def swap_axes() -> PlaneMap:
 
 
 def _cos_sin(theta: float) -> tuple[float, float]:
-    """cos and sin of a rotation angle; ValueError for a non-finite one."""
-    if not math.isfinite(theta):
+    """cos and sin of a rotation angle, read by ``as_number``; ValueError for a non-finite one."""
+    if not math.isfinite(theta := as_number(theta, "rotation angle")):
         raise ValueError(f"rotation angle must be finite, got {theta!r}")
     return math.cos(theta), math.sin(theta)
 
@@ -120,7 +118,7 @@ def rotation(theta: float) -> PlaneMap:
 
 def reflect_about_point(a1: float, a2: float) -> PlaneMap:
     """x -> 2a - x, the point reflection through (a1, a2)."""
-    return PlaneMap(-np.eye(2), (2.0 * a1, 2.0 * a2))
+    return PlaneMap(-np.eye(2), (2.0 * as_number(a1, "a1"), 2.0 * as_number(a2, "a2")))
 
 
 _NAMED_FACTORIES = {
@@ -198,6 +196,7 @@ class IsometryWitness(NamedTuple):
     after: float
 
 
+@np.errstate(over="ignore")  # an inf image fails the carrier check, and an inf slack passes every pair
 def is_isometry(
     m: PlaneMap | SphereMap,
     spec: MetricSpec,
@@ -215,7 +214,7 @@ def is_isometry(
     the scan stops after the first block that holds a violation.
     """
     pts = spec.validate_many(sample)
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf image fails the carrier check
+    with np.errstate(invalid="ignore"):
         images = spec.validate_many(m._images(as_points(pts, dim=len(m.linear))))
     n = len(pts)
     for lo, hi in row_blocks(n - 1, n):

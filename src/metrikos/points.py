@@ -24,15 +24,17 @@ over ``tolist()``), since a numpy reduction costs more than the rest of the
 call on a point of a few coordinates. A batch that fails its one-pass check
 falls back to the scalar validator item by item, which raises the error.
 
-``point_key`` and ``point_keys`` give hashable exact-equality keys of
-validated points, ``finite_radius`` checks a radius, ``same_shape_rows`` the
-two arrays of a rowwise distance function, and ``hypot_rows`` is the
+``as_number`` reads a number, and ``as_table`` a small table of them by the
+coordinate rule. ``point_key`` and ``point_keys`` give hashable exact-equality
+keys of validated points, ``finite_radius`` checks a radius, ``same_shape_rows``
+the two arrays of a rowwise distance function, and ``hypot_rows`` is the
 row-wise Euclidean norm of the coordinate and sphere kernels.
 """
 
 from __future__ import annotations
 
 import math
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -62,7 +64,7 @@ def as_point(p, dim: int | None = None) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"point must be a 1-D coordinate sequence, got shape {arr.shape}")
     if not all(map(math.isfinite, arr.tolist())):
-        raise ValueError(f"point coordinates must be finite, got {arr!r}")
+        raise ValueError(f"point coordinates must be finite, got {arr.tolist()}")  # one line, however long
     if dim is not None and arr.size != dim:
         raise ValueError(f"expected a {dim}-dimensional point, got {arr.size} coordinates")
     return arr
@@ -162,12 +164,36 @@ def as_indices(points: Sequence, n: int, what: str = "index") -> list[int]:
     return [as_index(i, n, what) for i in points]
 
 
+def as_number(x, what: str) -> float:
+    """``float(x)`` for any ``numbers.Real`` but a bool: an int, a float, a
+    numpy integer or float, a ``Fraction``. Anything else, such as a string,
+    bytes, None, ``np.bool_``, a complex number, a list, a ``Decimal`` or an
+    int past the float range, is ``ValueError: <what> must be a number``."""
+    if type(x) is float:
+        return x
+    try:
+        if isinstance(x, Real) and not isinstance(x, bool):
+            return float(x)
+    except OverflowError:
+        pass
+    raise ValueError(f"{what} must be a number, got {x!r}")
+
+
+def as_table(values, shape: tuple, error: str) -> np.ndarray:
+    """``values`` as a fresh float64 array of ``shape`` by the coordinate rule
+    of ``as_point``, or ValueError(error). Finiteness is the caller's check."""
+    try:
+        arr = np.array(values)
+        if arr.shape == shape and arr.dtype.kind in "iuf":
+            return arr.astype(float, copy=False)  # np.array made it fresh
+    except ValueError:  # ragged
+        pass
+    raise ValueError(error)
+
+
 def finite_radius(r) -> float:
-    """``r`` as a float, or ValueError unless it is positive and finite. A
-    bool, a string or bytes is refused, as it is as a coordinate."""
-    if not isinstance(r, float) and isinstance(r, (bool, np.bool_, str, bytes)):
-        raise ValueError(f"radius must be a number, got {r!r}")
-    r = float(r)
+    """``r`` read by ``as_number``, or ValueError unless it is positive and finite."""
+    r = as_number(r, "radius")
     if not r > 0:
         raise ValueError(f"radius must be positive, got {r}")
     if r == math.inf:

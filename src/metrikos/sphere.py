@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CarrierError, DegenerateGeometryError
 from .frozen import Frozen
-from .points import as_point, as_points, finite_radius, hypot_rows, same_shape_rows
+from .points import as_number, as_point, as_points, finite_radius, hypot_rows, same_shape_rows
 
 # Construction accepts vectors this far from unit norm and renormalizes them.
 UNIT_NORM_TOL = 1e-9
@@ -141,16 +141,15 @@ def great_circle_distance(p, q) -> float:
 
 def arc_to_chord(arc: float) -> float:
     """Chord length subtended by an arc of the given length, arc in [0, pi]."""
-    if not 0.0 <= arc <= math.pi:
+    if not 0.0 <= (arc := as_number(arc, "arc length")) <= math.pi:
         raise ValueError(f"arc length must lie in [0, pi], got {arc}")
     return 2.0 * math.sin(0.5 * arc)
 
 
 def sinc(t: float) -> float:
-    """sin(t)/t for t > 0, continuously extended to exactly 1 at t = 0."""
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"sinc argument must be nonnegative, got {t}")
+    """sin(t)/t for finite t > 0, continuously extended to exactly 1 at t = 0."""
+    if not 0 <= (t := as_number(t, "sinc argument")) < math.inf:
+        raise ValueError(f"sinc argument must be finite and nonnegative, got {t}")
     if t == 0.0:
         return 1.0
     return math.sin(t) / t
@@ -165,7 +164,7 @@ def comparability_delta(epsilon: float) -> float:
     and delta = 2; otherwise t* solves t/sin(t) = 1 + eps by bisection and
     delta = 2*sin(t*).
     """
-    eps = float(epsilon)
+    eps = as_number(epsilon, "epsilon")
     if not eps > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if eps >= math.pi / 2 - 1.0:

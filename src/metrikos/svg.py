@@ -36,18 +36,14 @@ class Viewport(Frozen):
         vars(self).update(scale=scale, x_shift=x_shift, y_shift=y_shift)
 
     @classmethod
-    def fit(cls, xmin, xmax, ymin, ymax, width: float, height: float) -> "Viewport":
+    def fit(cls, xmin, xmax, ymin, ymax) -> "Viewport":
         # half spans and midpoints from halved bounds: no sum or difference
         # of two finite bounds overflows, and halving is exact, so the scale
         # and shifts are those of the whole spans wherever those are finite
-        half_x = max(0.5 * xmax - 0.5 * xmin, 0.5e-30)
-        half_y = max(0.5 * ymax - 0.5 * ymin, 0.5e-30)
-        usable_w = width * (1.0 - 2.0 * MARGIN_FRACTION)
-        usable_h = height * (1.0 - 2.0 * MARGIN_FRACTION)
-        scale = min(0.5 * usable_w / half_x, 0.5 * usable_h / half_y)
-        # center the content in the viewport
-        x_shift = 0.5 * width - scale * (0.5 * xmin + 0.5 * xmax)
-        y_shift = 0.5 * height + scale * (0.5 * ymin + 0.5 * ymax)
+        half = max(0.5 * xmax - 0.5 * xmin, 0.5 * ymax - 0.5 * ymin, 0.5e-30)
+        scale = 0.5 * FIGURE_SIZE * (1.0 - 2.0 * MARGIN_FRACTION) / half
+        x_shift = 0.5 * FIGURE_SIZE - scale * (0.5 * xmin + 0.5 * xmax)
+        y_shift = 0.5 * FIGURE_SIZE + scale * (0.5 * ymin + 0.5 * ymax)
         return cls(scale=scale, x_shift=x_shift, y_shift=y_shift)
 
     def map(self, p) -> tuple[float, float]:
@@ -112,7 +108,7 @@ def ball_figure(boundary: BoundaryPolyline) -> SvgScene:
     samples = boundary.samples
     xs = np.append(samples[:, 0], boundary.center[0])
     ys = np.append(samples[:, 1], boundary.center[1])
-    vp = Viewport.fit(xs.min(), xs.max(), ys.min(), ys.max(), FIGURE_SIZE, FIGURE_SIZE)
+    vp = Viewport.fit(xs.min(), xs.max(), ys.min(), ys.max())
     scene = SvgScene()
     scene.add_polygon(vp.map_rows(samples))
     cx, cy = vp.map(boundary.center)

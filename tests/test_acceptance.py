@@ -370,7 +370,7 @@ def test_c12_cli_black_box(tmp_path):
             xml = out_a.read_text()
             boundary = mk.ball_boundary(specs[tag], (0.0, 0.0), 1.0, n=256)
             lo, hi = boundary.samples.min(axis=0), boundary.samples.max(axis=0)
-            vp = Viewport.fit(lo[0], hi[0], lo[1], hi[1], 512, 512)
+            vp = Viewport.fit(lo[0], hi[0], lo[1], hi[1])
             for vertex in vertices:
                 px, py = vp.map(vertex)
                 assert f"{px:.2f},{py:.2f}" in xml, (tag, vertex)

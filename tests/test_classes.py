@@ -161,7 +161,7 @@ def test_value_equality_reads_the_fields_and_the_class():
         (lambda: mk.Ball(mk.GreatCircle(), (1, 0, 0.5), 1), mk.CarrierError, "point is not on the unit sphere: |p| = 1.118033988749895"),
         (lambda: mk.BoundaryPolyline("nope", (0,), 1, []), ValueError, "expected a 2-dimensional point, got 1 coordinates"),
         (lambda: mk.BoundaryPolyline("nope", (0, 0), 1, [(1, 0, 0)]), ValueError, "expected a 2-dimensional point, got 3 coordinates"),
-        (lambda: mk.BoundaryPolyline("nope", (0, 0), 1, [(1, 0)]), KeyError, "'nope'"),
+        (lambda: mk.BoundaryPolyline("nope", (0, 0), 1, [(1, 0)]), ValueError, "unknown metric tag 'nope'; expected one of ['chebyshev', 'euclidean', 'taxicab']"),
         (lambda: mk.BoundaryPolyline("taxicab", (0, 0), 1, [(2, 0)]), ValueError, "boundary sample [2. 0.] is at distance 2.0, expected 1.0"),
         (lambda: mk.PlaneMap(np.eye(3), (0, math.inf)), ValueError, "plane map needs a 2x2 linear part and a 2-vector offset"),
         (lambda: mk.PlaneMap(np.eye(2), (0, math.inf)), ValueError, "map entries must be finite"),

@@ -372,7 +372,7 @@ class TestBallSvg:
             boundary = mk.ball_boundary(tags[tag], (0.0, 0.0), 1.0, n=256)
             lo = boundary.samples.min(axis=0)
             hi = boundary.samples.max(axis=0)
-            vp = Viewport.fit(lo[0], hi[0], lo[1], hi[1], 512, 512)
+            vp = Viewport.fit(lo[0], hi[0], lo[1], hi[1])
             for vertex in vertices:
                 px, py = vp.map(vertex)
                 assert f"{px:.2f},{py:.2f}" in xml, (tag, vertex)
@@ -512,6 +512,17 @@ class TestIsometry:
             assert res.returncode == 2, bad
             assert res.stderr.startswith(b"error: ") and b"Traceback" not in res.stderr, bad
             assert b"math domain" not in res.stderr, bad
+
+    def test_map_fields_that_are_not_numbers_are_usage_errors(self, capsys):
+        # each was read by float(), as 1.0, 0.5, (1.0, 2.0) and (1.0, 0.0), and passed as an isometry
+        for bad, message in (('{"map": "rotation", "theta": true}', 'rotation needs "theta": a number'),
+                             ('{"map": "rotation", "theta": "0.5"}', 'rotation needs "theta": a number'),
+                             ('{"map": "translation", "a": [true, "2"]}', 'translation needs "a": [a1, a2]'),
+                             ('{"map": "orthogonal", "matrix": [[true, 0, 0], [0, 1, 0], [0, 0, "1"]]}',
+                              'orthogonal needs "matrix": a 3x3 array')):
+            assert cli.main(["isometry", "--map", bad, "--metric", "euclidean", "--random", "4"]) == 2, bad
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"error: {message}\n", bad
 
     def test_deeply_nested_map_json_is_usage_error(self, capsys):
         argv = ["isometry", "--map", "[" * 100_000, "--metric", "euclidean", "--random", "4"]

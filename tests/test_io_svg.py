@@ -33,8 +33,8 @@ class TestPointSetFiles:
         pts = [rng.uniform(-2, 2, size=3) for _ in range(5)]
         path = tmp_path / "pts.json"
         fileio.dump_points(path, pts)
-        dim, loaded = fileio.load_points(path)
-        assert dim == 3
+        loaded = fileio.load_points(path)
+        assert loaded.shape == (5, 3)
         assert all(np.array_equal(a, b) for a, b in zip(pts, loaded))
         with pytest.raises(ValueError, match="^point set must be nonempty$"):
             fileio.dump_points(path, [])
@@ -54,8 +54,8 @@ class TestPointSetFiles:
             fileio.load_points(path)
         assert str(err.value) == f"{path}: dim must be a positive integer"
         path.write_text(json.dumps({"dim": 2.0, "points": [[1, 2], [3, 4]]}))
-        dim, points = fileio.load_points(path)
-        assert dim == 2 and points.dtype == np.float64 and points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        points = fileio.load_points(path)
+        assert points.shape == (2, 2) and points.dtype == np.float64 and points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "nan.json"
@@ -68,7 +68,7 @@ class TestPointSetFiles:
         fileio.dump_points(path, [(1.0, 2.0), (3.0, 4.0)])
         size = path.stat().st_size
         monkeypatch.setattr(fileio, "MAX_POINTS_FILE_BYTES", size)
-        assert fileio.load_points(path)[0] == 2
+        assert fileio.load_points(path).shape == (2, 2)
 
         def refuse(f):
             raise AssertionError("parsed a file past the cap")
@@ -282,7 +282,7 @@ class TestSvg:
         assert a == b
 
     def test_viewport_preserves_aspect_and_flips_y(self):
-        vp = Viewport.fit(-1.0, 1.0, -1.0, 1.0, 512, 512)
+        vp = Viewport.fit(-1.0, 1.0, -1.0, 1.0)
         x0, y0 = vp.map((0.0, 0.0))
         assert (x0, y0) == (256.0, 256.0)
         _, y_up = vp.map((0.0, 0.5))
@@ -291,11 +291,11 @@ class TestSvg:
         assert x_right > x0
 
     def test_margin_fraction(self):
-        vp = Viewport.fit(-1.0, 1.0, -1.0, 1.0, 100, 100)
+        vp = Viewport.fit(-1.0, 1.0, -1.0, 1.0)
         left, _ = vp.map((-1.0, 0.0))
         right, _ = vp.map((1.0, 0.0))
-        assert left == pytest.approx(10.0)
-        assert right == pytest.approx(90.0)
+        assert left == pytest.approx(51.2)
+        assert right == pytest.approx(460.8)
 
     @pytest.mark.parametrize(
         "metric, digest",
@@ -331,7 +331,7 @@ class TestSvg:
         xml = scene.to_xml()
         xs = np.append(boundary.samples[:, 0], 0.0)
         ys = np.append(boundary.samples[:, 1], 0.0)
-        vp = Viewport.fit(xs.min(), xs.max(), ys.min(), ys.max(), 512, 512)
+        vp = Viewport.fit(xs.min(), xs.max(), ys.min(), ys.max())
         for vertex in [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]:
             px, py = vp.map(vertex)
             assert f"{px:.2f},{py:.2f}" in xml
@@ -371,5 +371,5 @@ class TestSvg:
             boundary = mk.ball_boundary(mk.Euclidean(), center, radius, n=n)
             samples = boundary.samples
             xs, ys = np.append(samples[:, 0], center[0]), np.append(samples[:, 1], center[1])
-            vp = Viewport.fit(xs.min(), xs.max(), ys.min(), ys.max(), 512, 512)
+            vp = Viewport.fit(xs.min(), xs.max(), ys.min(), ys.max())
             assert polygon_points(ball_figure(boundary)) == per_pair_points(vp.map_rows(samples)), (center, radius)

@@ -5,6 +5,7 @@ different lengths raises the dimension mismatch."""
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -288,3 +289,86 @@ def distance_outcome(fn):
 def test_a_scalar_distance_is_the_formula_on_as_point_floats(spec, p, q):
     want = distance_outcome(lambda: scalar_oracle(spec, p, q))
     assert distance_outcome(lambda: mk.distance(spec, p, q)) == want
+
+
+# every reader of one number, with the name its error gives; each accepted
+# value below is 2 or 0.5, so the polyline's one sample is at distance x
+NUMBER_READERS = {
+    "Ball": ("radius", lambda x: mk.Ball(mk.Euclidean(), (0, 0), x)),
+    "check_nesting r": ("radius", lambda x: mk.check_nesting(mk.Euclidean(), (0, 0), x, (0, 0), 0.25, [(0.1, 0)])),
+    "check_nesting t": ("radius", lambda x: mk.check_nesting(mk.Euclidean(), (0, 0), 4.0, (0, 0), x, [(0.1, 0)])),
+    "ball_boundary": ("radius", lambda x: mk.ball_boundary(mk.Taxicab(), (0, 0), x, n=8)),
+    "BoundaryPolyline": ("radius", lambda x: mk.BoundaryPolyline("euclidean", (0, 0), x, [(0.0, 2.0 if x == 2 else 0.5)])),
+    "Circle2D": ("radius", lambda x: mk.Circle2D((0, 0), x)),
+    "Circle3D": ("radius", lambda x: mk.Circle3D((0, 0, 0), x, (0, 0, 1))),
+    "ToleranceConfig abs_tol": ("abs_tol", lambda x: mk.ToleranceConfig(abs_tol=x)),
+    "ToleranceConfig rel_tol": ("rel_tol", lambda x: mk.ToleranceConfig(rel_tol=x)),
+    "rotation": ("rotation angle", mk.rotation),
+    "rotation_about_axis": ("rotation angle", lambda x: mk.rotation_about_axis((0, 0, 1), x)),
+    "translation a1": ("a1", lambda x: mk.translation(x, 0)),
+    "translation a2": ("a2", lambda x: mk.translation(0, x)),
+    "reflect_about_point a1": ("a1", lambda x: mk.reflect_about_point(x, 0)),
+    "reflect_about_point a2": ("a2", lambda x: mk.reflect_about_point(0, x)),
+    "sinc": ("sinc argument", mk.sinc),
+    "comparability_delta": ("epsilon", mk.comparability_delta),
+    "arc_to_chord": ("arc length", mk.arc_to_chord),
+}
+NOT_NUMBERS = [True, np.True_, "0.5", b"1", None, 1j, [1], np.complex128(2), 10**400]
+NUMBERS = [2, np.int64(2), np.float32(2.0), Fraction(1, 2), 0.5]
+
+
+@pytest.mark.parametrize("reader", NUMBER_READERS)
+@pytest.mark.parametrize("x", NOT_NUMBERS, ids=lambda x: repr(x)[:12])
+def test_every_number_reader_refuses_what_is_not_a_number(reader, x):
+    # float() would read a bool, a string, bytes or np.complex128 silently
+    what, read = NUMBER_READERS[reader]
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} must be a number, got {re.escape(repr(x))}$"):
+        read(x)
+
+
+@pytest.mark.parametrize("reader", NUMBER_READERS)
+@pytest.mark.parametrize("x", NUMBERS, ids=repr)
+def test_every_number_reader_reads_a_number_as_its_float(reader, x):
+    _, read = NUMBER_READERS[reader]
+    assert repr(read(x)) == repr(read(float(x)))
+
+
+def test_as_number_gives_a_python_float():
+    for x in NUMBERS:
+        assert type(points.as_number(x, "x")) is float and points.as_number(x, "x") == float(x)
+    assert math.isnan(points.as_number(math.nan, "x"))
+
+
+def test_range_checks_follow_the_number_rule():
+    for x in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^sinc argument must be finite and nonnegative, got (nan|inf)$"):
+            mk.sinc(x)  # sinc(nan) was nan, and sinc(inf) a math domain error
+    with pytest.raises(ValueError, match="^radius must be positive, got nan$"):
+        mk.BoundaryPolyline("euclidean", (0, 0), math.nan, [(1, 0), (0, 1), (-1, 0), (0, -1)])
+    with pytest.raises(ValueError, match="^abs_tol must be finite and nonnegative, got -1$"):
+        mk.ToleranceConfig(-1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: mk.PlaneMap([["1", 0], [0, 1]], [0, 0]),
+        lambda: mk.PlaneMap(np.eye(2), [None, 0]),
+        lambda: mk.PlaneMap(np.eye(2), [True, "2"]),
+        lambda: mk.PlaneMap(np.eye(2), [10**400, 0]),
+        lambda: mk.PlaneMap([[1, 0], [0]], [0, 0]),
+        lambda: mk.SphereMap([[True, False, False], [False, True, False], [False, False, True]]),
+        lambda: mk.SphereMap(np.eye(3).astype(complex)),
+    ],
+)
+def test_map_entries_follow_the_coordinate_rule(build):
+    # numpy kinds int, unsigned int and float only, as as_point reads coordinates
+    with pytest.raises(ValueError, match=r"^(plane|sphere) map needs a"):
+        build()
+
+
+def test_map_entries_take_ints_and_numpy_numbers():
+    m = mk.PlaneMap(np.eye(2, dtype=np.int64), [np.uint8(1), 2])
+    assert m.linear.dtype == m.offset.dtype == np.float64 and m.offset.tolist() == [1.0, 2.0]
+    # numpy promotes a bool mixed with numbers, as it does for a coordinate
+    assert mk.PlaneMap(np.eye(2), [True, 2]).offset.tolist() == [1.0, 2.0]
